@@ -3,18 +3,19 @@
 //! Every experiment in this workspace is a list of *independent*
 //! simulated machines (one per protocol, PE count, bus shape, …) whose
 //! results are rendered as a table in case order. [`run_cases`] fans
-//! such a list over `std::thread::scope` workers and reassembles the
-//! results **in input order**, so a ported experiment prints exactly
-//! the bytes the sequential loop printed — only faster. Simulated
-//! machines are deterministic (seeded in-tree RNG, no wall clock), so
-//! parallel execution cannot perturb any measured statistic.
+//! such a list over scoped worker threads and reassembles the results
+//! **in input order**, so a ported experiment prints exactly the bytes
+//! the sequential loop printed — only faster. Simulated machines are
+//! deterministic (seeded in-tree RNG, no wall clock), so parallel
+//! execution cannot perturb any measured statistic.
 //!
 //! Worker count defaults to the machine's available parallelism,
 //! capped by the number of cases; `DECACHE_BENCH_THREADS` overrides it
 //! (set it to `1` to force the sequential path, e.g. when timing the
 //! simulator itself).
 //!
-//! [`supervise`] is the fault-tolerant generalization for long
+//! Both public entry points are thin wrappers over one private ordered
+//! pool. [`supervise`] is the fault-tolerant generalization for long
 //! campaigns: the same pool, but each case runs under a panic guard, a
 //! per-case cycle budget, and a bounded retry policy, and the harness
 //! returns a [`CaseOutcome`] per case instead of tearing the whole
@@ -25,17 +26,66 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// The number of worker threads for `cases` cases: available
-/// parallelism (or the `DECACHE_BENCH_THREADS` override), never more
-/// than one per case.
-fn thread_count(cases: usize) -> usize {
-    let workers = match std::env::var("DECACHE_BENCH_THREADS") {
+/// The default worker count: available parallelism, or the
+/// `DECACHE_BENCH_THREADS` override.
+fn default_workers() -> usize {
+    match std::env::var("DECACHE_BENCH_THREADS") {
         Ok(v) => v
             .parse()
             .unwrap_or_else(|_| panic!("DECACHE_BENCH_THREADS={v} is not a number")),
         Err(_) => std::thread::available_parallelism().map_or(1, usize::from),
+    }
+}
+
+/// The ordered worker pool behind [`run_cases`] and [`supervise`]:
+/// runs `run` over every case on `workers` threads (clamped to one per
+/// case; a single worker runs inline on the caller's thread) and
+/// returns the results in input order. Cases are claimed from a shared
+/// counter, so long and short cases balance across workers.
+///
+/// Each case runs under `catch_unwind`. After a panic no new cases are
+/// claimed, but every lower-index case was already claimed and still
+/// finishes, so the panic re-raised once the workers stop is always
+/// the lowest-index one — the same case the sequential loop would have
+/// died on — with its message prefixed by the case index.
+fn ordered_pool<T, R, F>(cases: &[T], workers: usize, run: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<std::thread::Result<R>>>> =
+        cases.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(case) = cases.get(i) else { break };
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| run(case)));
+        if result.is_err() {
+            next.store(cases.len(), Ordering::Relaxed);
+        }
+        *slots[i].lock().unwrap() = Some(result);
     };
-    workers.clamp(1, cases.max(1))
+    match workers.clamp(1, cases.len().max(1)) {
+        1 => work(),
+        workers => std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        }),
+    }
+    let mut results = Vec::with_capacity(cases.len());
+    for (i, slot) in slots.into_iter().enumerate() {
+        match slot.into_inner().unwrap() {
+            Some(Ok(result)) => results.push(result),
+            Some(Err(payload)) => std::panic::resume_unwind(Box::new(format!(
+                "case {i}: {}",
+                panic_message(payload.as_ref())
+            ))),
+            None => unreachable!("an unclaimed case always follows a panicked one"),
+        }
+    }
+    results
 }
 
 /// Runs `run` over every case on a pool of scoped worker threads and
@@ -47,8 +97,9 @@ fn thread_count(cases: usize) -> usize {
 ///
 /// # Panics
 ///
-/// If `run` panics for any case, the panic propagates to the caller
-/// once all workers have stopped.
+/// If `run` panics for any case, the lowest-index panic propagates to
+/// the caller once all workers have stopped, its message prefixed by
+/// the case index (`case 1: boom`).
 ///
 /// # Examples
 ///
@@ -62,30 +113,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = thread_count(cases.len());
-    if threads <= 1 {
-        return cases.iter().map(run).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = cases.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else { break };
-                let result = run(case);
-                *slots[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every case slot is filled before the scope ends")
-        })
-        .collect()
+    ordered_pool(cases, default_workers(), run)
 }
 
 /// The supervision policy for a [`supervise`] sweep.
@@ -250,58 +278,67 @@ where
     R: Send,
     F: Fn(&T, u64) -> Option<R> + Sync,
 {
-    let threads = thread_count(cases.len());
-    if threads <= 1 {
-        return cases
-            .iter()
-            .map(|case| run_supervised(config, case, &run))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CaseOutcome<R>>>> =
-        cases.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else { break };
-                let outcome = run_supervised(config, case, &run);
-                *slots[i].lock().unwrap() = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap()
-                .expect("every case slot is filled before the scope ends")
-        })
-        .collect()
+    ordered_pool(cases, default_workers(), |case| {
+        run_supervised(config, case, &run)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Explicit worker counts for the pool tests, so the multi-thread
+    /// path is exercised even on single-core runners.
+    const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+    /// Two cases panic; whichever worker hits its panic first, the
+    /// caller sees the lowest-index one, original text kept and case
+    /// index added.
+    #[test]
+    fn pool_reraises_the_lowest_index_panic_with_its_case_index() {
+        let cases: Vec<u32> = (0..16).collect();
+        for workers in WORKER_COUNTS {
+            let payload = std::panic::catch_unwind(|| {
+                ordered_pool(&cases, workers, |&x| {
+                    assert!(x != 3 && x != 9, "boom at {x}");
+                    x
+                })
+            })
+            .expect_err("a panicking case must fail the sweep");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "case 3: boom at 3",
+                "{workers} workers"
+            );
+        }
+    }
+
     #[test]
     fn results_come_back_in_input_order() {
         let cases: Vec<usize> = (0..100).collect();
-        // Uneven work so fast cases finish before slow earlier ones.
-        let results = run_cases(&cases, |&i| {
-            if i % 7 == 0 {
-                std::thread::yield_now();
-            }
-            i * 2
-        });
-        assert_eq!(results, cases.iter().map(|i| i * 2).collect::<Vec<_>>());
+        for workers in WORKER_COUNTS {
+            // Uneven work so fast cases finish before slow earlier ones.
+            let results = ordered_pool(&cases, workers, |&i| {
+                if i % 7 == 0 {
+                    std::thread::yield_now();
+                }
+                i * 2
+            });
+            assert_eq!(
+                results,
+                cases.iter().map(|i| i * 2).collect::<Vec<_>>(),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]
     fn empty_and_single_case_lists_work() {
-        let none: Vec<u32> = run_cases(&[], |&x: &u32| x);
-        assert!(none.is_empty());
-        assert_eq!(run_cases(&[5], |&x| x + 1), vec![6]);
+        for workers in WORKER_COUNTS {
+            let none: Vec<u32> = ordered_pool(&[], workers, |&x: &u32| x);
+            assert!(none.is_empty(), "{workers} workers");
+            assert_eq!(ordered_pool(&[5], workers, |&x| x + 1), vec![6]);
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::fmt;
 
 /// The checkpoint format version; bumped on any layout change so stale
 /// files are rejected with a structured error instead of misread.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The canonical field order of [`MachineCheckpoint::fault_stats`]:
 /// `fault_stats[i]` is the counter named `FAULT_STAT_FIELDS[i]`. Kept
@@ -285,8 +285,6 @@ pub struct MachineCheckpoint {
     pub discipline: String,
     /// The current cycle number.
     pub cycle: u64,
-    /// Engine-path odometer: cycles whose issue phase ran sharded.
-    pub sharded_cycles: u64,
     /// The shared memory.
     pub memory: MemoryCheckpoint,
     /// Every PE's tag store, in PE order.
@@ -587,7 +585,6 @@ impl Machine {
             transaction_cycles: self.transaction_cycles,
             discipline: self.discipline.name().to_string(),
             cycle: self.cycle,
-            sharded_cycles: self.sharded_cycles,
             memory: MemoryCheckpoint {
                 words,
                 locks,
@@ -851,7 +848,6 @@ impl Machine {
         self.bus_free_at.clone_from(&ck.bus_free_at);
         self.stats = ck.stats;
         self.cycle = ck.cycle;
-        self.sharded_cycles = ck.sharded_cycles;
 
         if let (Some(f), Some(engine)) = (&ck.fault, self.faults.as_mut()) {
             engine.rng = Rng::from_state(f.rng_state);

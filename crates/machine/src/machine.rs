@@ -146,17 +146,6 @@ pub struct Machine {
     /// Computed once from the machine shape; the per-dispatch check
     /// additionally requires [`Machine::faults_possible`] to be false.
     batch_snoop: bool,
-    /// Worker count for the sharded issue phase; `<= 1` keeps the
-    /// sequential scan unconditionally.
-    step_threads: usize,
-    /// Per-PE issue decisions computed by the sharded issue phase's
-    /// workers against pre-cycle state, committed by the main thread in
-    /// ascending PE order. Empty unless `step_threads > 1`.
-    issue_decisions: Vec<IssueDecision>,
-    /// Cycles whose issue phase ran sharded — an engine-path odometer
-    /// (not a simulated statistic), so equivalence tests can prove the
-    /// shard gate actually engaged.
-    sharded_cycles: u64,
 }
 
 /// The caches a snoop dispatch must skip: the transaction's `initiator`
@@ -190,39 +179,6 @@ impl SkipPes {
         self.initiator == Some(pe) || self.supplier == Some(pe)
     }
 }
-
-/// One PE's issue-phase outcome, computed by a sharded worker against
-/// the immutable pre-cycle state and committed on the main thread. Only
-/// effects that touch *shared* machine state travel here — per-PE
-/// effects (cache update, hit statistics, `last_results`) are applied
-/// in place by the worker, exactly as the sequential path does.
-#[derive(Debug, Clone, Copy, Default)]
-enum IssueDecision {
-    /// Nothing to commit: the PE was not idle, returned `Poll::Wait`,
-    /// or completed a hit with no supplier-index delta.
-    #[default]
-    None,
-    /// The program halted.
-    Halt,
-    /// A cache hit whose state transition may move the supplier index.
-    Hit {
-        addr: Addr,
-        was: LineState,
-        now: LineState,
-    },
-    /// A miss or Test-and-Set: enqueue `op` on `addr`'s bus and stall
-    /// on `pending`.
-    Enqueue {
-        addr: Addr,
-        op: BusOp,
-        pending: Pending,
-    },
-}
-
-/// Sharding engages only when at least this many PEs are idle: a
-/// `std::thread::scope` spawn costs microseconds per worker per cycle,
-/// so small issue scans are faster sequentially.
-const SHARD_MIN_IDLE: usize = 128;
 
 /// Which halt condition a [`Machine::run_loop`] call waits for.
 #[derive(Clone, Copy)]
@@ -262,7 +218,6 @@ impl Machine {
         fail_stop_policy: FailStopPolicy,
         telemetry: bool,
         progress_window: u64,
-        step_threads: usize,
     ) -> Self {
         let n = processors.len();
         let buses = routing.bus_count();
@@ -335,13 +290,6 @@ impl Machine {
             last_addr: vec![None; n],
             telemetry: telemetry.then(|| Box::new(TelemetryState::new(n))),
             batch_snoop: routing.bus_count() == 1 && geometry.ways() == 1,
-            step_threads,
-            issue_decisions: if step_threads > 1 {
-                vec![IssueDecision::None; n]
-            } else {
-                Vec::new()
-            },
-            sharded_cycles: 0,
         }
     }
 
@@ -1324,20 +1272,6 @@ impl Machine {
     // ----- issue phase ------------------------------------------------
 
     fn issue_phase(&mut self) {
-        // The sharded path computes the same decisions from the same
-        // pre-cycle state and commits them in the same ascending PE
-        // order, so it is byte-identical — but it cannot interleave
-        // trace records, observer notifications, or parity scrubs the
-        // way the sequential loop does, so any of those falls back.
-        if self.step_threads > 1
-            && self.idle_count >= SHARD_MIN_IDLE
-            && self.observers.is_empty()
-            && !self.trace.is_enabled()
-            && !self.faults_possible()
-        {
-            self.issue_phase_sharded();
-            return;
-        }
         // Cursor over the idle bitset: handling one PE never changes
         // another PE's status, so this visits exactly the PEs the old
         // full scan found idle, in the same ascending order.
@@ -1349,89 +1283,6 @@ impl Machine {
                 crate::Poll::Halt => self.set_status(pe, PeStatus::Done),
                 crate::Poll::Wait => {}
                 crate::Poll::Op(op) => self.start_op(pe, op),
-            }
-        }
-    }
-
-    /// The issue phase fanned over a `std::thread::scope` worker pool.
-    /// Workers own disjoint PE ranges — each PE's decision reads only
-    /// its own processor, cache, and per-PE scratch, all sliced out of
-    /// `self` by range — and record shared-state effects as
-    /// [`IssueDecision`]s. The main thread then commits decisions (bus
-    /// enqueues, status changes, supplier-index deltas) in ascending PE
-    /// order, so arbitration, RNG draws, and statistics are
-    /// byte-identical to the sequential scan.
-    fn issue_phase_sharded(&mut self) {
-        self.sharded_cycles += 1;
-        let n = self.processors.len();
-        if self.issue_decisions.len() != n {
-            self.issue_decisions = vec![IssueDecision::None; n];
-        }
-        let chunk = n.div_ceil(self.step_threads).max(1);
-        let cycle = self.cycle;
-        let Machine {
-            processors,
-            last_results,
-            caches,
-            cache_stats,
-            last_progress,
-            last_addr,
-            issue_decisions,
-            idle,
-            protocol,
-            ..
-        } = self;
-        let idle: &PeMask = idle;
-        let protocol: &AnyProtocol = protocol;
-        let probes = std::thread::scope(|scope| {
-            let shards = processors
-                .chunks_mut(chunk)
-                .zip(last_results.chunks_mut(chunk))
-                .zip(caches.chunks_mut(chunk))
-                .zip(cache_stats.chunks_mut(chunk))
-                .zip(last_progress.chunks_mut(chunk))
-                .zip(last_addr.chunks_mut(chunk))
-                .zip(issue_decisions.chunks_mut(chunk));
-            let handles: Vec<_> = shards
-                .enumerate()
-                .map(|(w, shard)| {
-                    let ((((((procs, results), caches), stats), progress), addrs), decisions) =
-                        shard;
-                    let start = w * chunk;
-                    scope.spawn(move || {
-                        issue_worker(
-                            start, procs, results, caches, stats, progress, addrs, decisions, idle,
-                            protocol, cycle,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("issue worker panicked"))
-                .sum::<u64>()
-        });
-        self.stats.tag_probes += probes;
-        for pe in 0..n {
-            match std::mem::take(&mut self.issue_decisions[pe]) {
-                IssueDecision::None => {}
-                IssueDecision::Halt => self.set_status(pe, PeStatus::Done),
-                IssueDecision::Hit { addr, was, now } => {
-                    self.sync_owner(pe, addr, Some(was), Some(now));
-                }
-                IssueDecision::Enqueue { addr, op, pending } => {
-                    // Mirror `start_op`'s exact effect order on shared
-                    // state: telemetry mark, then enqueue (which itself
-                    // re-arms the arbitration clock), then the status
-                    // gate.
-                    match pending {
-                        Pending::Read { .. } => self.mark_read_miss(pe),
-                        Pending::LockedRead { .. } => self.mark_ts_issued(pe),
-                        _ => {}
-                    }
-                    self.enqueue(PeId::new(pe as u16), addr, op);
-                    self.set_status(pe, PeStatus::WaitBus(pending));
-                }
             }
         }
     }
@@ -2135,14 +1986,6 @@ impl Machine {
         self.batch_snoop = false;
     }
 
-    /// Test hook: how many cycles ran their issue phase through the
-    /// sharded worker pool, so equivalence tests can assert the gate
-    /// engaged. An engine-path odometer, never a simulated statistic.
-    #[doc(hidden)]
-    pub fn sharded_cycles(&self) -> u64 {
-        self.sharded_cycles
-    }
-
     /// Installs a line after a completed bus transaction, handling the
     /// eviction write-back shortcut. Keeps the sharer and supplier
     /// indexes in sync: the installed block gains this cache as a
@@ -2337,160 +2180,4 @@ impl Machine {
             );
         }
     }
-}
-
-/// One sharded issue worker: the `start_op` decision logic over the PE
-/// range `[start, start + len)`, restricted to per-PE state. Mirrors
-/// the sequential path exactly — same probe, same protocol call, same
-/// per-PE bookkeeping — with shared-state effects deferred to
-/// [`IssueDecision`]s. Returns the worker's tag-probe count.
-///
-/// The fault, trace, and observer interleavings of the sequential path
-/// are absent by the sharding gate (`issue_phase` falls back when any
-/// of them is live), so skipping them here cannot diverge.
-#[allow(clippy::too_many_arguments)]
-fn issue_worker(
-    start: usize,
-    processors: &mut [Box<dyn Processor + Send>],
-    results: &mut [Option<OpResult>],
-    caches: &mut [TagStore<LineState>],
-    cache_stats: &mut [CacheStats],
-    last_progress: &mut [u64],
-    last_addr: &mut [Option<Addr>],
-    decisions: &mut [IssueDecision],
-    idle: &PeMask,
-    protocol: &AnyProtocol,
-    cycle: u64,
-) -> u64 {
-    use crate::Access;
-    let end = start + processors.len();
-    let mut probes = 0u64;
-    let mut cursor = start;
-    while let Some(pe) = idle.next_from(cursor) {
-        if pe >= end {
-            break;
-        }
-        cursor = pe + 1;
-        let i = pe - start;
-        let last = results[i].take();
-        let op = match processors[i].next_op(last.as_ref()) {
-            crate::Poll::Halt => {
-                decisions[i] = IssueDecision::Halt;
-                continue;
-            }
-            crate::Poll::Wait => continue,
-            crate::Poll::Op(op) => op,
-        };
-        last_addr[i] = Some(op.access.addr());
-        match op.access {
-            Access::Read(addr) => {
-                probes += 1;
-                let mut hit = None;
-                let outcome = match caches[i].get_mut(addr) {
-                    Some(entry) => {
-                        let outcome = protocol.cpu_read(Some(*entry.state));
-                        if let CpuOutcome::Hit { next } = outcome {
-                            let old = *entry.state;
-                            *entry.state = next;
-                            hit = Some((old, next, *entry.data));
-                        }
-                        outcome
-                    }
-                    None => protocol.cpu_read(None),
-                };
-                match outcome {
-                    CpuOutcome::Hit { .. } => {
-                        let (old, next, value) = hit.expect("hit requires a held line");
-                        cache_stats[i].record(AccessKind::Read, op.class, true);
-                        last_progress[i] = cycle;
-                        results[i] = Some(OpResult::Read(value));
-                        if next != old {
-                            decisions[i] = IssueDecision::Hit {
-                                addr,
-                                was: old,
-                                now: next,
-                            };
-                        }
-                    }
-                    CpuOutcome::Miss { intent } => {
-                        debug_assert_eq!(intent, BusIntent::Read, "read misses issue bus reads");
-                        cache_stats[i].record(AccessKind::Read, op.class, false);
-                        decisions[i] = IssueDecision::Enqueue {
-                            addr,
-                            op: BusOp::Read,
-                            pending: Pending::Read {
-                                addr,
-                                class: op.class,
-                            },
-                        };
-                    }
-                }
-            }
-            Access::Write(addr, value) => {
-                probes += 1;
-                let mut hit = None;
-                let outcome = match caches[i].get_mut(addr) {
-                    Some(entry) => {
-                        let outcome = protocol.cpu_write(Some(*entry.state));
-                        if let CpuOutcome::Hit { next } = outcome {
-                            let old = *entry.state;
-                            *entry.state = next;
-                            *entry.data = value;
-                            hit = Some((old, next));
-                        }
-                        outcome
-                    }
-                    None => protocol.cpu_write(None),
-                };
-                match outcome {
-                    CpuOutcome::Hit { .. } => {
-                        let (old, next) = hit.expect("hit requires a held line");
-                        cache_stats[i].record(AccessKind::Write, op.class, true);
-                        last_progress[i] = cycle;
-                        results[i] = Some(OpResult::Write);
-                        if next != old {
-                            decisions[i] = IssueDecision::Hit {
-                                addr,
-                                was: old,
-                                now: next,
-                            };
-                        }
-                    }
-                    CpuOutcome::Miss { intent } => {
-                        let bus_op = match intent {
-                            BusIntent::Write => BusOp::Write(value),
-                            BusIntent::Invalidate => BusOp::Invalidate,
-                            BusIntent::Read => {
-                                unreachable!("{} asked to read on a write", protocol.name())
-                            }
-                        };
-                        cache_stats[i].record(AccessKind::Write, op.class, false);
-                        decisions[i] = IssueDecision::Enqueue {
-                            addr,
-                            op: bus_op,
-                            pending: Pending::Write {
-                                addr,
-                                value,
-                                class: op.class,
-                            },
-                        };
-                    }
-                }
-            }
-            Access::TestAndSet(addr, set_to) => {
-                // "The initial read-with-lock does not reference the
-                // value in the cache" — always a bus operation.
-                decisions[i] = IssueDecision::Enqueue {
-                    addr,
-                    op: BusOp::ReadWithLock,
-                    pending: Pending::LockedRead {
-                        addr,
-                        set_to,
-                        class: op.class,
-                    },
-                };
-            }
-        }
-    }
-    probes
 }

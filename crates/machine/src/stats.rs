@@ -30,8 +30,9 @@ pub struct MachineStats {
     /// Deterministic work units: logical tag-store accesses (issue
     /// probes, snoop applications, supplier reads, installs,
     /// pending-read checks). Counts *logical* work, so every engine
-    /// path — sequential or sharded, scanned or batched — reports the
-    /// same number; a machine-independent perf proxy gated in CI.
+    /// path — scanned or batched snoops, dense or skipped cycles —
+    /// reports the same number; a machine-independent perf proxy gated
+    /// in CI.
     pub tag_probes: u64,
     /// Deterministic work units: per-holder visits during broadcast
     /// snoop dispatch plus pending-reader visits after bus

@@ -70,14 +70,14 @@ fn random_addr(rng: &mut Rng, shape: Shape, pe: usize, pes: usize) -> Addr {
 /// Builds a machine with random protocol, PE count, bus shape, cache
 /// size, and per-PE scripts mixing reads, writes, and Test-and-Set.
 fn build_random(rng: &mut Rng) -> Machine {
-    build_random_config(rng, 1, None)
+    build_random_config(rng, None)
 }
 
-/// [`build_random`] with an issue-phase worker count and an optional
-/// seeded fault storm (memory/cache flips, bus losses, fail stops)
-/// layered on the same drawn configuration — the RNG draw sequence is
-/// untouched, so one seed pins one machine under every engine path.
-fn build_random_config(rng: &mut Rng, threads: usize, fault_seed: Option<u64>) -> Machine {
+/// [`build_random`] with an optional seeded fault storm (memory/cache
+/// flips, bus losses, fail stops) layered on the same drawn
+/// configuration — the RNG draw sequence is untouched, so one seed
+/// pins one machine under every engine path.
+fn build_random_config(rng: &mut Rng, fault_seed: Option<u64>) -> Machine {
     let kind = *rng.choose(&PROTOCOLS);
     let shape = *rng.choose(&[
         Shape::Single,
@@ -127,7 +127,6 @@ fn build_random_config(rng: &mut Rng, threads: usize, fault_seed: Option<u64>) -
         }
         builder.processor(script.build());
     }
-    builder.step_threads(threads);
     if let Some(seed) = fault_seed {
         builder.fault_plan(
             FaultPlan::new(seed)
@@ -269,8 +268,8 @@ fn batched_broadcast_matches_forced_scan() {
     decache_rng::testing::check("batched_vs_scan", 48, |rng| {
         let seed = rng.next_u64();
         let fault_seed = rng.gen_bool(0.33).then(|| rng.next_u64());
-        let mut batched = build_random_config(&mut Rng::from_seed(seed), 1, fault_seed);
-        let mut scanned = build_random_config(&mut Rng::from_seed(seed), 1, fault_seed);
+        let mut batched = build_random_config(&mut Rng::from_seed(seed), fault_seed);
+        let mut scanned = build_random_config(&mut Rng::from_seed(seed), fault_seed);
         scanned.force_scan_snoop();
 
         assert!(batched.run(300_000), "batched machine failed to terminate");
@@ -281,93 +280,37 @@ fn batched_broadcast_matches_forced_scan() {
     });
 }
 
-/// Two machines from the same seed, one sequential and one built with
-/// `step_threads(4)`, must agree on everything observable. Small
-/// random machines sit below the shard gate's idle floor, so this
-/// corpus pins the gate's *inertness* (the plumbing must not perturb a
-/// machine it never engages for); the companion 256-PE test below
-/// drives the gate itself.
+/// A 256-PE machine whose PEs mostly hit their warmed private words,
+/// with periodic hot-word writes for coherence traffic, under
+/// split-transaction bus mode: hundreds of PEs issue per cycle while
+/// address phases sit in flight awaiting their data phases. The run
+/// must terminate with every fast-path index consistent — the only
+/// split-mode machine at this scale in the suite.
 #[test]
-fn sharded_issue_plumbing_is_inert_below_the_gate() {
-    decache_rng::testing::check("sharded_vs_sequential", 32, |rng| {
-        let seed = rng.next_u64();
-        let fault_seed = rng.gen_bool(0.25).then(|| rng.next_u64());
-        let mut seq = build_random_config(&mut Rng::from_seed(seed), 1, fault_seed);
-        let mut sharded = build_random_config(&mut Rng::from_seed(seed), 4, fault_seed);
-
-        assert!(seq.run(300_000), "sequential machine failed to terminate");
-        assert!(sharded.run(300_000), "sharded machine failed to terminate");
-        assert_eq!(sharded.sharded_cycles(), 0, "gate engaged below the floor");
-        assert_observably_identical(&seq, &sharded, "sharded vs sequential", seed);
-    });
-}
-
-/// A 256-PE machine whose PEs mostly hit their warmed private words —
-/// so well over 128 PEs stay idle-and-issuing per cycle, holding the
-/// shard gate open — with periodic hot-word writes for coherence
-/// traffic. The sharded run must engage (checked via the engine-path
-/// odometer) and remain byte-identical to the sequential engine.
-#[test]
-fn sharded_issue_engages_and_matches_at_256_pes() {
-    sharded_issue_at_256_pes(ServiceDiscipline::PerCycle);
-}
-
-/// The same 256-PE shard-gate scenario under split-transaction bus
-/// mode: the issue phase runs sharded while address phases sit in
-/// flight awaiting their data phases, so the worker pool and the
-/// split queue state must compose without perturbing a single
-/// statistic. This is the scenario TSan instruments end to end.
-#[test]
-fn sharded_issue_engages_and_matches_under_split_transactions() {
-    sharded_issue_at_256_pes(ServiceDiscipline::Split);
-}
-
-fn sharded_issue_at_256_pes(discipline: ServiceDiscipline) {
-    let build = |threads: usize| -> Machine {
-        const PES: usize = 256;
-        let mut builder = MachineBuilder::new(ProtocolKind::Rwb);
-        builder
-            .memory_words(1 << 12)
-            .cache_lines(16)
-            .discipline(discipline)
-            .transaction_cycles(3)
-            .step_threads(threads);
-        for pe in 0..PES {
-            let base = 1024 + pe as u64 * 8;
-            let mut script = Script::new();
-            for w in 0..4u64 {
-                script = script.read(Addr::new(base + w));
-            }
-            for i in 0..96u64 {
-                script = if (i + pe as u64).is_multiple_of(24) {
-                    script.write(Addr::new(i % 16), Word::new(pe as u64 * 1000 + i))
-                } else {
-                    script.read(Addr::new(base + i % 4))
-                };
-            }
-            builder.processor(script.build());
+fn split_transactions_at_256_pes_keep_fast_path_invariants() {
+    const PES: usize = 256;
+    let mut builder = MachineBuilder::new(ProtocolKind::Rwb);
+    builder
+        .memory_words(1 << 12)
+        .cache_lines(16)
+        .discipline(ServiceDiscipline::Split)
+        .transaction_cycles(3);
+    for pe in 0..PES {
+        let base = 1024 + pe as u64 * 8;
+        let mut script = Script::new();
+        for w in 0..4u64 {
+            script = script.read(Addr::new(base + w));
         }
-        builder.build()
-    };
-
-    let mut seq = build(1);
-    let mut sharded = build(4);
-    assert!(seq.run(1_000_000), "sequential machine failed to terminate");
-    assert!(
-        sharded.run(1_000_000),
-        "sharded machine failed to terminate"
-    );
-    assert_eq!(seq.sharded_cycles(), 0);
-    assert!(
-        sharded.sharded_cycles() > 0,
-        "the shard gate never engaged at 256 PEs"
-    );
-    seq.assert_fast_path_invariants();
-    sharded.assert_fast_path_invariants();
-    assert_observably_identical(
-        &seq,
-        &sharded,
-        &format!("sharded issue at 256 PEs under {discipline}"),
-        0,
-    );
+        for i in 0..96u64 {
+            script = if (i + pe as u64).is_multiple_of(24) {
+                script.write(Addr::new(i % 16), Word::new(pe as u64 * 1000 + i))
+            } else {
+                script.read(Addr::new(base + i % 4))
+            };
+        }
+        builder.processor(script.build());
+    }
+    let mut machine = builder.build();
+    assert!(machine.run(1_000_000), "machine failed to terminate");
+    machine.assert_fast_path_invariants();
 }
