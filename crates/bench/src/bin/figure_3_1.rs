@@ -3,13 +3,12 @@
 //! DOT.
 
 use decache_bench::banner;
-use decache_core::{to_dot, transition_table, Rb};
+use decache_core::{ir, to_dot, transition_table, ProtocolKind};
 
 fn main() {
     banner("RB per-line state transition diagram", "Figure 3-1");
 
-    let rb = Rb::new();
-    let rows = transition_table(&rb);
+    let rows = transition_table(&ir::table(ProtocolKind::Rb));
     println!("transitions ({}):", rows.len());
     for row in &rows {
         println!("  {row}");

@@ -3,14 +3,15 @@
 //! edges, as a transition table and Graphviz DOT.
 
 use decache_bench::banner;
-use decache_core::{to_dot, transition_table, Protocol, Rwb};
+use decache_core::{ir, to_dot, transition_table};
 
 fn main() {
     banner("RWB per-line state transition diagram", "Figure 5-1");
 
-    let rwb = Rwb::new();
-    let rows = transition_table(&rwb);
-    println!("transitions ({}), k = {}:", rows.len(), rwb.threshold());
+    // The paper's expository threshold.
+    let k = 2;
+    let rows = transition_table(&ir::rwb(k));
+    println!("transitions ({}), k = {k}:", rows.len());
     for row in &rows {
         println!("  {row}");
     }
@@ -22,10 +23,10 @@ fn main() {
 
     // Footnote 6 generalization: higher thresholds add F states.
     for k in [3u8, 4] {
-        let rwb = Rwb::with_threshold(k);
         println!(
             "k = {k}: states {:?}",
-            rwb.states()
+            ir::rwb(k)
+                .states
                 .iter()
                 .map(std::string::ToString::to_string)
                 .collect::<Vec<_>>()

@@ -1,26 +1,23 @@
-//! The protocol static-analysis gate: exhaustive product-machine
-//! reachability plus the dead-transition lint, for every protocol at
-//! every supported checker configuration.
+//! The product-machine gate: exhaustive reachability for every protocol
+//! at every supported checker configuration.
 //!
 //! Runs all eight protocol variants × `n ∈ {2, 3, 4}` × every
 //! combination of {evictions on/off, Test-and-Set on/off} (96 cases,
 //! fanned across threads).
 //!
 //! Exits non-zero — failing CI — if any case violates the Section 4
-//! lemma/theorem (printing the reconstructed witness trace), if any
-//! transition table is non-total over its explored domain, or if any
+//! lemma/theorem (printing the reconstructed witness trace) or if any
 //! declared state is unreachable.
 //!
-//! The dead-rule baseline lives with the **static** analyzer
+//! Totality and the dead-rule baseline belong to the **static** analyzer
 //! (`protocol_lint`, pinned by `crates/verify/src/static_baseline.txt`),
-//! whose abstraction-based dead set subsumes this checker's coverage at
-//! every `n`; regenerate it with
+//! which proves them per rule for every `n`; regenerate the baseline with
 //! `protocol_lint --print-baseline <path>`.
 
 use decache_analysis::TextTable;
 use decache_bench::{banner, par};
 use decache_core::ProtocolKind;
-use decache_verify::{LintReport, ProductChecker, ProductReport};
+use decache_verify::{ProductChecker, ProductReport};
 use std::process::ExitCode;
 
 /// The eight protocol variants the workspace checks everywhere.
@@ -35,7 +32,7 @@ const KINDS: [ProtocolKind; 8] = [
     ProtocolKind::Mesi,
 ];
 
-/// One checker configuration to explore and lint.
+/// One checker configuration to explore.
 #[derive(Debug, Clone, Copy)]
 struct Case {
     kind: ProtocolKind,
@@ -57,21 +54,8 @@ impl Case {
     }
 }
 
-struct Outcome {
-    case: Case,
-    report: ProductReport,
-    lint: LintReport,
-}
-
-fn run(case: &Case) -> Outcome {
-    let checker = case.checker();
-    let report = checker.explore();
-    let lint = checker.lint(&report);
-    Outcome {
-        case: *case,
-        report,
-        lint,
-    }
+fn run(case: &Case) -> ProductReport {
+    case.checker().explore()
 }
 
 fn main() -> ExitCode {
@@ -94,7 +78,7 @@ fn main() -> ExitCode {
 
     banner(
         "Protocol static analysis",
-        "reachability (lemma & theorem) + dead-transition lint, all configurations",
+        "reachability (lemma & theorem) and declared-state coverage, all configurations",
     );
 
     let mut table = TextTable::new(vec![
@@ -103,22 +87,17 @@ fn main() -> ExitCode {
         "evict",
         "TS",
         "states",
-        "fired/domain",
-        "dead",
+        "transitions",
         "verdict",
     ]);
     let mut failures = Vec::new();
-    for outcome in &outcomes {
-        let Outcome { case, report, lint } = outcome;
+    for (case, report) in cases.iter().zip(&outcomes) {
         let mut problems = Vec::new();
         if !report.holds() {
             problems.push(format!("{} violations", report.violations.len()));
         }
-        if !lint.is_total() {
-            problems.push(format!("non-total: {}", lint.non_total.len()));
-        }
-        if !lint.unreachable_states.is_empty() {
-            problems.push(format!("unreachable: {:?}", lint.unreachable_states));
+        if !report.unreachable_states.is_empty() {
+            problems.push(format!("unreachable: {:?}", report.unreachable_states));
         }
         let verdict = if problems.is_empty() {
             "ok".to_owned()
@@ -131,8 +110,7 @@ fn main() -> ExitCode {
             if case.evictions { "+" } else { "-" }.to_owned(),
             if case.test_and_set { "+" } else { "-" }.to_owned(),
             report.states.to_string(),
-            format!("{}/{}", lint.fired, lint.domain),
-            lint.dead.len().to_string(),
+            report.transitions.to_string(),
             verdict.clone(),
         ]);
         if verdict != "ok" {
@@ -147,7 +125,7 @@ fn main() -> ExitCode {
         }
     }
     println!("{table}");
-    println!("dead-rule baseline: see protocol_lint (static analyzer gate)");
+    println!("totality and dead-rule baseline: see protocol_lint (static analyzer gate)");
 
     if failures.is_empty() {
         println!("\nprotocol_check: all {} cases ok", outcomes.len());

@@ -2,8 +2,8 @@
 //! write-through, and the table-driven MESI on the paper's assumed
 //! reference mix (reads dominate; local and read-only dominate shared),
 //! measuring cycles, bus traffic, and hit ratio. MESI rides along as a
-//! modern baseline: its semantics live entirely in IR data executed by
-//! the generic rule interpreter. All machines fan out over
+//! modern baseline: its semantics live entirely in its rule table,
+//! executed like every other protocol's. All machines fan out over
 //! `decache_bench::par`; the tables print in the same order as the old
 //! sequential loops.
 

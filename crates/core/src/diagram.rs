@@ -4,13 +4,13 @@
 //! whose edges are labelled with the triggering request (`CR`, `CW`,
 //! `BR`, `BW`, `BI`) and a modifier describing the side action (generate
 //! a bus write, interrupt and supply, ...). [`transition_table`] recovers
-//! that diagram mechanically from any [`Protocol`] implementation, and
+//! that diagram mechanically from a protocol's rule table, and
 //! [`to_dot`] renders it as Graphviz DOT — this is how the `figure_3_1`
 //! and `figure_5_1` experiment binaries regenerate the figures, and how
 //! tests pin every edge.
 
-use crate::{CpuOutcome, LineState, Protocol, SnoopEvent};
-use decache_mem::Word;
+use crate::ir::{Effect, Rule, RuleTable, SnoopKind, TableInput, TransitionKey};
+use crate::LineState;
 use std::fmt;
 
 /// The stimulus labels of the figures' legends.
@@ -83,93 +83,81 @@ impl fmt::Display for TransitionRow {
 }
 
 /// Extracts the complete per-line state transition diagram of a protocol
-/// by driving every state through every stimulus.
+/// from its rule table: every declared state under every stimulus.
 ///
 /// For CPU requests that miss, the destination is the state after the
 /// protocol's own bus transaction completes, and the modifier names the
 /// generated transaction — exactly the convention of the paper's figures.
-pub fn transition_table(protocol: &dyn Protocol) -> Vec<TransitionRow> {
-    let probe = Word::ZERO;
+/// A guarded fill shows its shared branch.
+///
+/// # Panics
+///
+/// Panics if the table has no rule, or a misshapen one, for a cell the
+/// diagram needs — the analyzer in `decache-protocol-ir` proves the
+/// built-in tables total and well-shaped.
+pub fn transition_table(table: &RuleTable) -> Vec<TransitionRow> {
+    let effect = |from: LineState, input: TableInput| {
+        table
+            .matching(Some(from), input, true)
+            .unwrap_or_else(|| {
+                let cell = TransitionKey {
+                    state: Some(from),
+                    input,
+                };
+                panic!("{}: no rule for {cell}", table.name)
+            })
+            .effect
+    };
+    let next = |from: LineState, input: TableInput| match effect(from, input) {
+        Effect::Next { next, capture } => (next, if capture { "capture data" } else { "" }),
+        other => panic!("{}: {from} --{input} has effect {other}", table.name),
+    };
+
     let mut rows = Vec::new();
-
-    for from in protocol.states() {
-        // CPU read.
-        rows.push(match protocol.cpu_read(Some(from)) {
-            CpuOutcome::Hit { next } => TransitionRow {
+    for &from in &table.states {
+        let mut row = |stimulus, (to, modifier): (LineState, &str)| {
+            rows.push(TransitionRow {
                 from,
-                stimulus: Stimulus::CpuRead,
-                to: next,
-                modifier: String::new(),
-            },
-            CpuOutcome::Miss { intent } => TransitionRow {
-                from,
-                stimulus: Stimulus::CpuRead,
-                to: protocol.own_complete(Some(from), intent),
-                modifier: format!("generate {intent}"),
-            },
-        });
-
-        // CPU write.
-        rows.push(match protocol.cpu_write(Some(from)) {
-            CpuOutcome::Hit { next } => TransitionRow {
-                from,
-                stimulus: Stimulus::CpuWrite,
-                to: next,
-                modifier: String::new(),
-            },
-            CpuOutcome::Miss { intent } => TransitionRow {
-                from,
-                stimulus: Stimulus::CpuWrite,
-                to: protocol.own_complete(Some(from), intent),
-                modifier: format!("generate {intent}"),
-            },
-        });
-
+                stimulus,
+                to,
+                modifier: modifier.to_owned(),
+            });
+        };
+        for (stimulus, input) in [
+            (Stimulus::CpuRead, TableInput::CpuRead),
+            (Stimulus::CpuWrite, TableInput::CpuWrite),
+        ] {
+            match effect(from, input) {
+                Effect::Hit { next } => row(stimulus, (next, "")),
+                Effect::Issue { intent } => {
+                    let (to, _) = next(from, TableInput::OwnComplete(intent));
+                    row(stimulus, (to, &format!("generate {intent}")));
+                }
+                other => panic!("{}: {from} --{input} has effect {other}", table.name),
+            }
+        }
         // Snooped bus read: the supply path takes precedence, exactly as
         // in the figures ("interrupt BR and supply the data").
-        if protocol.supplies_on_snoop_read(from) {
-            rows.push(TransitionRow {
-                from,
-                stimulus: Stimulus::BusRead,
-                to: protocol.after_supply(from),
-                modifier: "interrupt BR, supply data".to_owned(),
-            });
-        } else {
-            let out = protocol.snoop(from, SnoopEvent::Read(probe));
-            rows.push(TransitionRow {
-                from,
-                stimulus: Stimulus::BusRead,
-                to: out.next,
-                modifier: if out.capture {
-                    "capture data".to_owned()
-                } else {
-                    String::new()
-                },
-            });
+        match table.matching(Some(from), TableInput::Supply, true) {
+            Some(Rule {
+                effect: Effect::Supply { next },
+                ..
+            }) => row(Stimulus::BusRead, (next, "interrupt BR, supply data")),
+            _ => row(
+                Stimulus::BusRead,
+                next(from, TableInput::Snoop(SnoopKind::Read)),
+            ),
         }
-
-        // Snooped bus write.
-        let out = protocol.snoop(from, SnoopEvent::Write(probe));
-        rows.push(TransitionRow {
-            from,
-            stimulus: Stimulus::BusWrite,
-            to: out.next,
-            modifier: if out.capture {
-                "capture data".to_owned()
-            } else {
-                String::new()
-            },
-        });
-
+        row(
+            Stimulus::BusWrite,
+            next(from, TableInput::Snoop(SnoopKind::Write)),
+        );
         // Snooped bus invalidate — only for protocols that can emit it.
-        if protocol.uses_bus_invalidate() {
-            let out = protocol.snoop(from, SnoopEvent::Invalidate);
-            rows.push(TransitionRow {
-                from,
-                stimulus: Stimulus::BusInvalidate,
-                to: out.next,
-                modifier: String::new(),
-            });
+        if table.uses_bus_invalidate {
+            row(
+                Stimulus::BusInvalidate,
+                next(from, TableInput::Snoop(SnoopKind::Invalidate)),
+            );
         }
     }
     rows
@@ -180,8 +168,8 @@ pub fn transition_table(protocol: &dyn Protocol) -> Vec<TransitionRow> {
 /// # Examples
 ///
 /// ```
-/// use decache_core::{to_dot, transition_table, Rb};
-/// let dot = to_dot("RB", &transition_table(&Rb::new()));
+/// use decache_core::{ir, to_dot, transition_table, ProtocolKind};
+/// let dot = to_dot("RB", &transition_table(&ir::table(ProtocolKind::Rb)));
 /// assert!(dot.starts_with("digraph"));
 /// assert!(dot.contains("R -> L"));
 /// ```
@@ -207,7 +195,8 @@ pub fn to_dot(title: &str, rows: &[TransitionRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Rb, Rwb, WriteOnce};
+    use crate::ir::table;
+    use crate::ProtocolKind;
     use LineState::{FirstWrite, Invalid, Local, Readable};
 
     fn find(rows: &[TransitionRow], from: LineState, stimulus: Stimulus) -> &TransitionRow {
@@ -218,7 +207,7 @@ mod tests {
 
     #[test]
     fn rb_table_matches_figure_3_1() {
-        let rows = transition_table(&Rb::new());
+        let rows = transition_table(&table(ProtocolKind::Rb));
         // 3 states x 4 stimuli (no BI edge for RB).
         assert_eq!(rows.len(), 12);
 
@@ -251,7 +240,7 @@ mod tests {
 
     #[test]
     fn rwb_table_matches_figure_5_1() {
-        let rows = transition_table(&Rwb::new());
+        let rows = transition_table(&table(ProtocolKind::Rwb));
         // 4 states x 5 stimuli (BI included).
         assert_eq!(rows.len(), 20);
 
@@ -289,13 +278,13 @@ mod tests {
 
     #[test]
     fn write_once_has_no_capture_edges() {
-        let rows = transition_table(&WriteOnce::new());
+        let rows = transition_table(&table(ProtocolKind::WriteOnce));
         assert!(rows.iter().all(|r| r.modifier != "capture data"));
     }
 
     #[test]
     fn dot_output_is_wellformed() {
-        let rows = transition_table(&Rb::new());
+        let rows = transition_table(&table(ProtocolKind::Rb));
         let dot = to_dot("RB", &rows);
         assert!(dot.starts_with("digraph \"RB\" {"));
         assert!(dot.trim_end().ends_with('}'));
@@ -305,7 +294,7 @@ mod tests {
 
     #[test]
     fn row_display_is_readable() {
-        let rows = transition_table(&Rb::new());
+        let rows = transition_table(&table(ProtocolKind::Rb));
         let r = find(&rows, Invalid, Stimulus::CpuRead);
         assert_eq!(r.to_string(), "I --CR [generate BR]--> R");
         let r = find(&rows, Readable, Stimulus::CpuRead);

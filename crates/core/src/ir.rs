@@ -1,38 +1,191 @@
 //! Guarded-action protocol IR: protocols as data, not code.
 //!
 //! Every protocol in this crate is a pure per-line finite state machine,
-//! which means its complete semantics fit in a finite table of
-//! **guarded-action rules**: `(from_state, input) [guard] → effect`
-//! (after Meunier et al.'s guarded-action modelling of cache coherence).
-//! This module defines that table form ([`Rule`], [`RuleTable`]) and a
-//! generic interpreter ([`TableProtocol`]) that executes any well-formed
-//! table through the ordinary [`Protocol`] trait — so a protocol defined
-//! *purely as data* runs on the unmodified machine, verifier, and
-//! conformance oracle.
+//! so its complete semantics fit in a finite table of **guarded-action
+//! rules**: `(from_state, input) [guard] → effect` (after Meunier et
+//! al.'s guarded-action modelling of cache coherence). This module
+//! defines that table form ([`Rule`], [`RuleTable`]) and holds the
+//! tables of every built-in protocol ([`table`]).
+//!
+//! The tables are the single definition of each protocol:
+//! [`crate::Protocol::new`] lowers one into dense decision arrays that
+//! the machine executes, and the static analyzer in
+//! `decache-protocol-ir`, the product checker, the conformance oracle
+//! and the diagram exporter all read the same tables.
 //!
 //! Guards range over the **abstract configuration** of the other caches
 //! (never over PE identities, keeping every table PE-symmetric by
 //! construction). The paper's seven schemes are guard-free; the guard
-//! vocabulary exists for schemes like MESI whose read-miss fill depends
-//! on whether the line is shared (fill `E` when exclusive, `S`/`V` when
-//! another readable copy exists).
-//!
-//! [`mesi`] builds exactly that: a MESI table over the existing
-//! [`LineState`] vocabulary (`I`/`V`/`S`/`D` displaying MESI's
-//! I/S/E/M), adapted to the paper's bus vocabulary — write misses go
-//! through the bus as `BW` (write-through of the missing word) and the
-//! `S → M` upgrade rides the RWB bus-invalidate signal `BI`. Zero
-//! engine code knows about MESI; `ProtocolKind::Mesi` just wraps this
-//! table in a [`TableProtocol`].
+//! vocabulary exists for schemes like MESI ([`mesi`]) whose read-miss
+//! fill depends on whether the line is shared (fill `E` when exclusive,
+//! `V` when another readable copy exists).
 //!
 //! Static analysis of rule tables (totality, determinism, invariant
 //! preservation over all n, dead rules) lives in `decache-protocol-ir`;
-//! this module only defines the data model and its interpreter.
+//! this module only defines the data model and the tables.
 
-use crate::introspect::{SnoopKind, TableInput, TransitionKey};
-use crate::{BusIntent, CpuOutcome, LineState, Protocol, SnoopEvent, SnoopOutcome};
+use crate::{BusIntent, LineState, SnoopEvent};
 use std::fmt;
-use std::sync::Arc;
+
+mod tables;
+
+pub use tables::{mesi, rwb, table, RWB_THRESHOLDS};
+
+/// A snooped bus operation, without its data payload — the column labels
+/// of the paper's transition tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SnoopKind {
+    /// A foreign bus read (`BR`).
+    Read,
+    /// A foreign bus write (`BW`).
+    Write,
+    /// The RWB bus invalidate signal (`BI`).
+    Invalidate,
+    /// A foreign locked read (`BRL`).
+    LockedRead,
+    /// A foreign unlocking write (`BWU`).
+    UnlockWrite,
+}
+
+impl SnoopKind {
+    /// Every snoop kind, in table-column order.
+    pub const ALL: [SnoopKind; 5] = [
+        SnoopKind::Read,
+        SnoopKind::Write,
+        SnoopKind::Invalidate,
+        SnoopKind::LockedRead,
+        SnoopKind::UnlockWrite,
+    ];
+
+    /// The [`SnoopKind`] of a [`SnoopEvent`].
+    #[inline]
+    pub fn of(event: SnoopEvent) -> SnoopKind {
+        match event {
+            SnoopEvent::Read(_) => SnoopKind::Read,
+            SnoopEvent::Write(_) => SnoopKind::Write,
+            SnoopEvent::Invalidate => SnoopKind::Invalidate,
+            SnoopEvent::LockedRead(_) => SnoopKind::LockedRead,
+            SnoopEvent::UnlockWrite(_) => SnoopKind::UnlockWrite,
+        }
+    }
+}
+
+impl fmt::Display for SnoopKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SnoopKind::Read => write!(f, "BR"),
+            SnoopKind::Write => write!(f, "BW"),
+            SnoopKind::Invalidate => write!(f, "BI"),
+            SnoopKind::LockedRead => write!(f, "BRL"),
+            SnoopKind::UnlockWrite => write!(f, "BWU"),
+        }
+    }
+}
+
+/// One input axis of a protocol's transition table: what the cache
+/// controller presents to the per-line state machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum TableInput {
+    /// A CPU read reference ([`crate::Protocol::cpu_read`]).
+    CpuRead,
+    /// A CPU write reference ([`crate::Protocol::cpu_write`]).
+    CpuWrite,
+    /// Completion of this cache's own bus transaction
+    /// ([`crate::Protocol::own_complete`]).
+    OwnComplete(BusIntent),
+    /// Completion of this cache's own locked read
+    /// ([`crate::Protocol::own_locked_read_complete`]).
+    OwnLockedRead,
+    /// Completion of this cache's own unlocking write
+    /// ([`crate::Protocol::own_unlock_write_complete`]).
+    OwnUnlockWrite,
+    /// A snooped foreign transaction ([`crate::Protocol::snoop`]).
+    Snoop(SnoopKind),
+    /// Interrupting a foreign bus read to supply data
+    /// ([`crate::Protocol::after_supply`]; a state supplies iff it has
+    /// this rule).
+    Supply,
+    /// Eviction of the line ([`crate::Protocol::writeback_on_evict`]).
+    Evict,
+}
+
+impl TableInput {
+    fn rank(self) -> (u8, u8) {
+        match self {
+            TableInput::CpuRead => (0, 0),
+            TableInput::CpuWrite => (1, 0),
+            TableInput::OwnComplete(BusIntent::Read) => (2, 0),
+            TableInput::OwnComplete(BusIntent::Write) => (2, 1),
+            TableInput::OwnComplete(BusIntent::Invalidate) => (2, 2),
+            TableInput::OwnLockedRead => (3, 0),
+            TableInput::OwnUnlockWrite => (4, 0),
+            TableInput::Snoop(k) => (5, k as u8),
+            TableInput::Supply => (6, 0),
+            TableInput::Evict => (7, 0),
+        }
+    }
+}
+
+impl fmt::Display for TableInput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TableInput::CpuRead => write!(f, "CR"),
+            TableInput::CpuWrite => write!(f, "CW"),
+            TableInput::OwnComplete(i) => write!(f, "own:{i}"),
+            TableInput::OwnLockedRead => write!(f, "own:BRL"),
+            TableInput::OwnUnlockWrite => write!(f, "own:BWU"),
+            TableInput::Snoop(k) => write!(f, "snoop:{k}"),
+            TableInput::Supply => write!(f, "supply"),
+            TableInput::Evict => write!(f, "evict"),
+        }
+    }
+}
+
+/// One cell of a protocol's transition table: a line state (or `None`
+/// for not-present) and the input applied to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TransitionKey {
+    /// The line state the input hits; `None` is the `NP` pseudo-state.
+    pub state: Option<LineState>,
+    /// The input applied.
+    pub input: TableInput,
+}
+
+/// A stable ordering rank for line states, in paper-table order.
+fn state_rank(state: Option<LineState>) -> (u8, u8) {
+    match state {
+        None => (0, 0),
+        Some(LineState::Invalid) => (1, 0),
+        Some(LineState::Readable) => (2, 0),
+        Some(LineState::FirstWrite(c)) => (3, c),
+        Some(LineState::Local) => (4, 0),
+        Some(LineState::Valid) => (5, 0),
+        Some(LineState::Reserved) => (6, 0),
+        Some(LineState::Dirty) => (7, 0),
+    }
+}
+
+impl Ord for TransitionKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (state_rank(self.state), self.input.rank())
+            .cmp(&(state_rank(other.state), other.input.rank()))
+    }
+}
+
+impl PartialOrd for TransitionKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Display for TransitionKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.state {
+            None => write!(f, "NP --{}", self.input),
+            Some(s) => write!(f, "{s} --{}", self.input),
+        }
+    }
+}
 
 /// The guard of a rule: a predicate over the *abstract configuration*
 /// of the other caches, evaluated by the controller when the rule's
@@ -77,11 +230,9 @@ impl fmt::Display for Guard {
     }
 }
 
-/// The action half of a rule. Each variant corresponds to one
-/// [`Protocol`] decision shape, and [`Effect::render`] reproduces the
-/// exact outcome strings of [`crate::introspect::probe_outcome`] so
-/// compiled tables can be diffed against probed trait behaviour
-/// byte-for-byte.
+/// The action half of a rule. Each variant is one decision shape of
+/// [`crate::Protocol`]; which shapes an input admits is checked by the
+/// analyzer and, at lowering time, by [`crate::Protocol::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Effect {
     /// Serve the CPU reference from the cache; the line moves to `next`.
@@ -116,32 +267,23 @@ pub enum Effect {
     },
 }
 
-impl Effect {
-    /// Renders the effect exactly as
-    /// [`crate::introspect::probe_outcome`] renders the corresponding
-    /// trait outcome.
-    pub fn render(self) -> String {
-        match self {
-            Effect::Hit { next } => format!("hit→{next}"),
-            Effect::Issue { intent } => format!("miss({intent})"),
+impl fmt::Display for Effect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Effect::Hit { next } => write!(f, "hit→{next}"),
+            Effect::Issue { intent } => write!(f, "miss({intent})"),
             Effect::Next {
                 next,
                 capture: true,
-            } => format!("capture→{next}"),
+            } => write!(f, "capture→{next}"),
             Effect::Next {
                 next,
                 capture: false,
-            } => format!("→{next}"),
-            Effect::Supply { next } => format!("supply→{next}"),
-            Effect::Evict { writeback: true } => "writeback".to_owned(),
-            Effect::Evict { writeback: false } => "drop".to_owned(),
+            } => write!(f, "→{next}"),
+            Effect::Supply { next } => write!(f, "supply→{next}"),
+            Effect::Evict { writeback: true } => write!(f, "writeback"),
+            Effect::Evict { writeback: false } => write!(f, "drop"),
         }
-    }
-}
-
-impl fmt::Display for Effect {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.render())
     }
 }
 
@@ -190,9 +332,8 @@ impl fmt::Display for Rule {
 ///
 /// Well-formedness (exactly one matching rule per `(state, input,
 /// configuration)`, invariant preservation, …) is *not* enforced here —
-/// that is the static analyzer's job in `decache-protocol-ir`; the
-/// interpreter panics informatively on lookup failure, mirroring how
-/// the hand-written protocols panic on states outside their vocabulary.
+/// that is the static analyzer's job in `decache-protocol-ir`. Executing
+/// a cell with no rule panics (see [`crate::Protocol`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleTable {
     /// The protocol's display name.
@@ -231,8 +372,11 @@ impl RuleTable {
             .collect()
     }
 
-    /// The unique rule matching `(state, input)` under the sampled
-    /// configuration bit, or `None` when no rule matches.
+    /// The rule matching `(state, input)` under the sampled
+    /// configuration bit — the first in rule order when a
+    /// non-deterministic table has several — or `None` when no rule
+    /// matches. This is the executable specification the lowered
+    /// [`crate::Protocol`] arrays are tested against.
     pub fn matching(
         &self,
         from: Option<LineState>,
@@ -249,471 +393,22 @@ impl RuleTable {
     pub fn has_guards(&self) -> bool {
         self.rules.iter().any(|r| r.guard != Guard::Always)
     }
-
-    /// The states that interrupt-and-supply on snooped reads (those
-    /// with a `supply` rule).
-    pub fn supplying_states(&self) -> Vec<LineState> {
-        self.states
-            .iter()
-            .copied()
-            .filter(|&s| {
-                self.rules
-                    .iter()
-                    .any(|r| r.from == Some(s) && r.input == TableInput::Supply)
-            })
-            .collect()
-    }
-}
-
-/// A generic rule-table interpreter: executes any [`RuleTable`] through
-/// the [`Protocol`] trait, so protocols defined purely as data run on
-/// the unmodified machine and verifier.
-///
-/// # Panics
-///
-/// Trait methods panic with the offending cell when the table has no
-/// matching rule or the matched effect has the wrong shape — exactly
-/// the situations the static analyzer in `decache-protocol-ir` proves
-/// absent before a table is ever run.
-///
-/// # Examples
-///
-/// ```
-/// use decache_core::ir::{mesi, TableProtocol};
-/// use decache_core::{CpuOutcome, LineState, Protocol};
-///
-/// let p = TableProtocol::new(mesi());
-/// assert_eq!(p.name(), "MESI");
-/// // A read hit in the exclusive state stays exclusive:
-/// assert_eq!(
-///     p.cpu_read(Some(LineState::Reserved)),
-///     CpuOutcome::Hit { next: LineState::Reserved }
-/// );
-/// ```
-#[derive(Debug, Clone)]
-pub struct TableProtocol {
-    table: Arc<RuleTable>,
-}
-
-impl TableProtocol {
-    /// Wraps a rule table in the generic interpreter.
-    pub fn new(table: RuleTable) -> Self {
-        TableProtocol {
-            table: Arc::new(table),
-        }
-    }
-
-    /// The interpreted table.
-    pub fn table(&self) -> &RuleTable {
-        &self.table
-    }
-
-    /// Looks up the unique matching rule, panicking informatively when
-    /// the table is not total on the cell.
-    fn rule(&self, from: Option<LineState>, input: TableInput, other_readable: bool) -> Rule {
-        self.table
-            .matching(from, input, other_readable)
-            .unwrap_or_else(|| {
-                let cell = TransitionKey { state: from, input };
-                panic!(
-                    "{}: no rule for {cell} (other_readable={other_readable})",
-                    self.table.name
-                )
-            })
-    }
-
-    fn next_of(
-        &self,
-        from: Option<LineState>,
-        input: TableInput,
-        other_readable: bool,
-    ) -> LineState {
-        let rule = self.rule(from, input, other_readable);
-        match rule.effect {
-            Effect::Next { next, .. } => next,
-            other => panic!(
-                "{}: rule {rule} has non-transition effect {other:?}",
-                self.table.name
-            ),
-        }
-    }
-}
-
-impl Protocol for TableProtocol {
-    fn name(&self) -> String {
-        self.table.name.clone()
-    }
-
-    fn states(&self) -> Vec<LineState> {
-        self.table.states.clone()
-    }
-
-    fn cpu_read(&self, state: Option<LineState>) -> CpuOutcome {
-        let rule = self.rule(state, TableInput::CpuRead, true);
-        match rule.effect {
-            Effect::Hit { next } => CpuOutcome::Hit { next },
-            Effect::Issue { intent } => CpuOutcome::Miss { intent },
-            other => panic!(
-                "{}: rule {rule} has non-CPU effect {other:?}",
-                self.table.name
-            ),
-        }
-    }
-
-    fn cpu_write(&self, state: Option<LineState>) -> CpuOutcome {
-        let rule = self.rule(state, TableInput::CpuWrite, true);
-        match rule.effect {
-            Effect::Hit { next } => CpuOutcome::Hit { next },
-            Effect::Issue { intent } => CpuOutcome::Miss { intent },
-            other => panic!(
-                "{}: rule {rule} has non-CPU effect {other:?}",
-                self.table.name
-            ),
-        }
-    }
-
-    fn own_complete(&self, state: Option<LineState>, intent: BusIntent) -> LineState {
-        // Context-free entry point: resolve guarded fills to the shared
-        // branch, which is total by the analyzer's pairing rule. Callers
-        // that sampled the configuration use `own_complete_shared`.
-        self.own_complete_shared(state, intent, true)
-    }
-
-    fn own_complete_shared(
-        &self,
-        state: Option<LineState>,
-        intent: BusIntent,
-        other_holders: bool,
-    ) -> LineState {
-        self.next_of(state, TableInput::OwnComplete(intent), other_holders)
-    }
-
-    fn own_locked_read_complete(&self, state: Option<LineState>) -> LineState {
-        self.next_of(state, TableInput::OwnLockedRead, true)
-    }
-
-    fn own_unlock_write_complete(&self, state: Option<LineState>) -> LineState {
-        self.next_of(state, TableInput::OwnUnlockWrite, true)
-    }
-
-    fn snoop(&self, state: LineState, event: SnoopEvent) -> SnoopOutcome {
-        let input = TableInput::Snoop(SnoopKind::of(event));
-        let rule = self.rule(Some(state), input, true);
-        match rule.effect {
-            Effect::Next { next, capture } => SnoopOutcome { next, capture },
-            other => panic!(
-                "{}: rule {rule} has non-snoop effect {other:?}",
-                self.table.name
-            ),
-        }
-    }
-
-    fn supplies_on_snoop_read(&self, state: LineState) -> bool {
-        self.table
-            .matching(Some(state), TableInput::Supply, true)
-            .is_some()
-    }
-
-    fn after_supply(&self, state: LineState) -> LineState {
-        let rule = self.rule(Some(state), TableInput::Supply, true);
-        match rule.effect {
-            Effect::Supply { next } => next,
-            other => panic!(
-                "{}: rule {rule} has non-supply effect {other:?}",
-                self.table.name
-            ),
-        }
-    }
-
-    fn writeback_on_evict(&self, state: LineState) -> bool {
-        let rule = self.rule(Some(state), TableInput::Evict, true);
-        match rule.effect {
-            Effect::Evict { writeback } => writeback,
-            other => panic!(
-                "{}: rule {rule} has non-evict effect {other:?}",
-                self.table.name
-            ),
-        }
-    }
-
-    fn broadcasts_write_data(&self) -> bool {
-        self.table.broadcasts_write_data
-    }
-
-    fn uses_bus_invalidate(&self) -> bool {
-        self.table.uses_bus_invalidate
-    }
-
-    fn fill_depends_on_sharers(&self) -> bool {
-        self.table.has_guards()
-    }
-}
-
-/// The MESI protocol, defined purely as IR data over the existing state
-/// vocabulary: `Invalid` = MESI I, `Valid` = MESI S (shared), `Reserved`
-/// = MESI E (exclusive-clean), `Dirty` = MESI M (modified) — displayed
-/// with the crate's `I`/`V`/`S`/`D` letters.
-///
-/// Adaptation to the paper's bus vocabulary (documented in DESIGN.md):
-/// a write miss issues the ordinary bus write `BW` (the word is written
-/// through to memory, others invalidate, the writer fills
-/// exclusive-clean) rather than a read-for-ownership, and the MESI
-/// `S → M` upgrade issues the RWB bus-invalidate signal `BI`. The
-/// defining MESI behaviours are all present: the guarded read-miss fill
-/// (`E` when no other readable copy exists, `V` otherwise), the silent
-/// `E → M` write hit, and the owner (`M`) supplying snooped reads and
-/// demoting to shared.
-pub fn mesi() -> RuleTable {
-    use BusIntent::{Invalidate, Read, Write};
-    use LineState::{Dirty, Invalid, Reserved, Valid};
-
-    let mut rules = Vec::new();
-    let held = [Invalid, Valid, Reserved, Dirty];
-    let all: Vec<Option<LineState>> = std::iter::once(None)
-        .chain(held.into_iter().map(Some))
-        .collect();
-
-    let rule = |from, input, guard, effect| Rule {
-        from,
-        input,
-        guard,
-        effect,
-    };
-    let always = Guard::Always;
-
-    // CPU references.
-    for from in [None, Some(Invalid)] {
-        rules.push(rule(
-            from,
-            TableInput::CpuRead,
-            always,
-            Effect::Issue { intent: Read },
-        ));
-        rules.push(rule(
-            from,
-            TableInput::CpuWrite,
-            always,
-            Effect::Issue { intent: Write },
-        ));
-    }
-    for s in [Valid, Reserved, Dirty] {
-        rules.push(rule(
-            Some(s),
-            TableInput::CpuRead,
-            always,
-            Effect::Hit { next: s },
-        ));
-    }
-    // S → M upgrades over the bus-invalidate signal; E → M and M → M are
-    // silent local writes.
-    rules.push(rule(
-        Some(Valid),
-        TableInput::CpuWrite,
-        always,
-        Effect::Issue { intent: Invalidate },
-    ));
-    for s in [Reserved, Dirty] {
-        rules.push(rule(
-            Some(s),
-            TableInput::CpuWrite,
-            always,
-            Effect::Hit { next: Dirty },
-        ));
-    }
-
-    // Own-transaction completions (every from-state for totality; only
-    // NP/I fills are dynamically reachable, the rest are reported dead
-    // by the analyzer). The read-miss fill is MESI's guarded decision:
-    // exclusive-clean when alone, shared otherwise.
-    for &from in &all {
-        rules.push(rule(
-            from,
-            TableInput::OwnComplete(Read),
-            Guard::NoOtherReadableHolder,
-            Effect::Next {
-                next: Reserved,
-                capture: false,
-            },
-        ));
-        rules.push(rule(
-            from,
-            TableInput::OwnComplete(Read),
-            Guard::OtherReadableHolder,
-            Effect::Next {
-                next: Valid,
-                capture: false,
-            },
-        ));
-        rules.push(rule(
-            from,
-            TableInput::OwnComplete(Write),
-            always,
-            Effect::Next {
-                next: Reserved,
-                capture: false,
-            },
-        ));
-        rules.push(rule(
-            from,
-            TableInput::OwnComplete(Invalidate),
-            always,
-            Effect::Next {
-                next: Dirty,
-                capture: false,
-            },
-        ));
-        // A locked read broadcasts; everyone, issuer included, shares.
-        rules.push(rule(
-            from,
-            TableInput::OwnLockedRead,
-            always,
-            Effect::Next {
-                next: Valid,
-                capture: false,
-            },
-        ));
-        // The unlocking write goes through to memory: exclusive-clean.
-        rules.push(rule(
-            from,
-            TableInput::OwnUnlockWrite,
-            always,
-            Effect::Next {
-                next: Reserved,
-                capture: false,
-            },
-        ));
-    }
-
-    // Snoops: reads demote E/M to shared, writes and invalidates kill
-    // the copy. MESI never captures foreign bus data (no write
-    // broadcasting — the RB/RWB distinguishing power MESI lacks).
-    for s in held {
-        let on_read = match s {
-            Invalid => Invalid,
-            _ => Valid,
-        };
-        for kind in [SnoopKind::Read, SnoopKind::LockedRead] {
-            rules.push(rule(
-                Some(s),
-                TableInput::Snoop(kind),
-                always,
-                Effect::Next {
-                    next: on_read,
-                    capture: false,
-                },
-            ));
-        }
-        for kind in [
-            SnoopKind::Write,
-            SnoopKind::UnlockWrite,
-            SnoopKind::Invalidate,
-        ] {
-            rules.push(rule(
-                Some(s),
-                TableInput::Snoop(kind),
-                always,
-                Effect::Next {
-                    next: Invalid,
-                    capture: false,
-                },
-            ));
-        }
-    }
-
-    // Only the owner supplies; it demotes to shared (memory was just
-    // made current by the substituted write).
-    rules.push(rule(
-        Some(Dirty),
-        TableInput::Supply,
-        always,
-        Effect::Supply { next: Valid },
-    ));
-
-    // Only the owner writes back.
-    for s in held {
-        rules.push(rule(
-            Some(s),
-            TableInput::Evict,
-            always,
-            Effect::Evict {
-                writeback: s == Dirty,
-            },
-        ));
-    }
-
-    let mut table = RuleTable {
-        name: "MESI".to_owned(),
-        states: held.to_vec(),
-        uses_bus_invalidate: true,
-        broadcasts_write_data: false,
-        rules,
-    };
-    table.normalize();
-    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use LineState::{Dirty, Invalid, Reserved, Valid};
+    use crate::ProtocolKind;
+    use LineState::{Dirty, Invalid, Valid};
 
     #[test]
-    fn mesi_interpreter_basics() {
-        let p = TableProtocol::new(mesi());
-        assert_eq!(p.name(), "MESI");
-        assert_eq!(p.states(), vec![Invalid, Valid, Reserved, Dirty]);
-        assert!(p.uses_bus_invalidate());
-        assert!(!p.broadcasts_write_data());
-        assert!(p.fill_depends_on_sharers());
-        // Read miss from NP; fill is guarded.
-        assert_eq!(
-            p.cpu_read(None),
-            CpuOutcome::Miss {
-                intent: BusIntent::Read
-            }
-        );
-        assert_eq!(
-            p.own_complete_shared(None, BusIntent::Read, false),
-            Reserved,
-            "alone → exclusive-clean"
-        );
-        assert_eq!(
-            p.own_complete_shared(None, BusIntent::Read, true),
-            Valid,
-            "shared → V"
-        );
-        // The context-free entry point resolves to the shared branch.
-        assert_eq!(p.own_complete(None, BusIntent::Read), Valid);
-        // Silent E → M; S → M upgrades over BI.
-        assert_eq!(p.cpu_write(Some(Reserved)), CpuOutcome::Hit { next: Dirty });
-        assert_eq!(
-            p.cpu_write(Some(Valid)),
-            CpuOutcome::Miss {
-                intent: BusIntent::Invalidate
-            }
-        );
-        assert_eq!(p.own_complete(Some(Valid), BusIntent::Invalidate), Dirty);
-        // Owner supplies and demotes; only M writes back.
-        assert!(p.supplies_on_snoop_read(Dirty));
-        assert!(!p.supplies_on_snoop_read(Reserved));
-        assert_eq!(p.after_supply(Dirty), Valid);
-        assert!(p.writeback_on_evict(Dirty));
-        assert!(!p.writeback_on_evict(Reserved));
-        // Read snoops demote to shared without capturing.
-        let out = p.snoop(Reserved, SnoopEvent::Read(decache_mem::Word::ZERO));
-        assert_eq!(out, SnoopOutcome::to(Valid));
-        let out = p.snoop(Valid, SnoopEvent::Write(decache_mem::Word::ZERO));
-        assert_eq!(out, SnoopOutcome::to(Invalid));
-    }
-
-    #[test]
-    fn effect_rendering_matches_probe_vocabulary() {
-        assert_eq!(Effect::Hit { next: Valid }.render(), "hit→V");
+    fn effect_rendering() {
+        assert_eq!(Effect::Hit { next: Valid }.to_string(), "hit→V");
         assert_eq!(
             Effect::Issue {
                 intent: BusIntent::Write
             }
-            .render(),
+            .to_string(),
             "miss(BW)"
         );
         assert_eq!(
@@ -721,7 +416,7 @@ mod tests {
                 next: Invalid,
                 capture: false
             }
-            .render(),
+            .to_string(),
             "→I"
         );
         assert_eq!(
@@ -729,12 +424,12 @@ mod tests {
                 next: LineState::Readable,
                 capture: true
             }
-            .render(),
+            .to_string(),
             "capture→R"
         );
-        assert_eq!(Effect::Supply { next: Valid }.render(), "supply→V");
-        assert_eq!(Effect::Evict { writeback: true }.render(), "writeback");
-        assert_eq!(Effect::Evict { writeback: false }.render(), "drop");
+        assert_eq!(Effect::Supply { next: Valid }.to_string(), "supply→V");
+        assert_eq!(Effect::Evict { writeback: true }.to_string(), "writeback");
+        assert_eq!(Effect::Evict { writeback: false }.to_string(), "drop");
     }
 
     #[test]
@@ -750,22 +445,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no rule for")]
-    fn missing_rules_panic_informatively() {
-        let mut table = mesi();
-        table.rules.retain(|r| r.input != TableInput::CpuRead);
-        let p = TableProtocol::new(table);
-        let _ = p.cpu_read(None);
+    fn keys_render_compactly_and_sort_stably() {
+        let key = TransitionKey {
+            state: None,
+            input: TableInput::CpuRead,
+        };
+        assert_eq!(key.to_string(), "NP --CR");
+        let key = TransitionKey {
+            state: Some(LineState::Readable),
+            input: TableInput::Snoop(SnoopKind::UnlockWrite),
+        };
+        assert_eq!(key.to_string(), "R --snoop:BWU");
+        let mut keys: Vec<TransitionKey> = table(ProtocolKind::Rb)
+            .rules
+            .iter()
+            .map(|r| r.key())
+            .collect();
+        let sorted = keys.clone();
+        keys.reverse();
+        keys.sort();
+        assert_eq!(keys, sorted);
     }
 
     #[test]
-    fn mesi_probe_outcomes_are_total_over_the_domain() {
-        let p = TableProtocol::new(mesi());
-        for key in crate::introspect::transition_domain(&p) {
-            assert!(
-                crate::introspect::probe_outcome(&p, key).is_some(),
-                "MESI: non-total handling of {key}"
-            );
-        }
+    fn only_mesi_is_guarded() {
+        assert!(mesi().has_guards());
+        assert!(!table(ProtocolKind::Rwb).has_guards());
+    }
+
+    #[test]
+    fn rwb_k1_degenerates_to_write_back_invalidate() {
+        let table = rwb(1);
+        assert_eq!(
+            table.states,
+            vec![Invalid, LineState::Readable, LineState::Local]
+        );
+        assert!(!table.broadcasts_write_data);
+        let cw = table
+            .matching(Some(LineState::Readable), TableInput::CpuWrite, true)
+            .unwrap();
+        assert_eq!(
+            cw.effect,
+            Effect::Issue {
+                intent: BusIntent::Invalidate
+            }
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! Value-level protocol selection for experiment sweeps.
 
-use crate::ir::{self, TableProtocol};
-use crate::{Protocol, Rb, Rwb, WriteOnce, WriteThrough};
+use crate::{ir, Protocol};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Names one of the built-in coherence protocols; used to configure
 /// machines and to sweep protocols in experiments.
@@ -33,9 +33,8 @@ pub enum ProtocolKind {
     WriteOnce,
     /// Plain write-through-invalidate baseline.
     WriteThrough,
-    /// The MESI protocol, defined purely as guarded-action IR data
-    /// ([`crate::ir::mesi`]) and executed by the generic rule
-    /// interpreter — no dedicated engine code.
+    /// The MESI protocol ([`crate::ir::mesi`]): a table like the rest,
+    /// with a guarded read-miss fill and no dedicated engine code.
     Mesi,
 }
 
@@ -48,28 +47,37 @@ impl ProtocolKind {
         ProtocolKind::WriteThrough,
     ];
 
-    /// Instantiates the protocol.
+    /// Instantiates the protocol: its rule table ([`ir::table`]),
+    /// lowered for execution. Each kind is lowered once per process and
+    /// cloned from then on, so building many small machines does not
+    /// rebuild the same table.
     ///
     /// # Panics
     ///
-    /// Panics if a [`ProtocolKind::RwbThreshold`] value is out of range
-    /// (see [`Rwb::with_threshold`]).
-    pub fn build(self) -> Box<dyn Protocol> {
-        match self {
-            ProtocolKind::Rb => Box::new(Rb::new()),
-            ProtocolKind::RbNoBroadcast => Box::new(Rb::without_read_broadcast()),
-            ProtocolKind::Rwb => Box::new(Rwb::new()),
-            ProtocolKind::RwbThreshold(k) => Box::new(Rwb::with_threshold(k)),
-            ProtocolKind::WriteOnce => Box::new(WriteOnce::new()),
-            ProtocolKind::WriteThrough => Box::new(WriteThrough::new()),
-            ProtocolKind::Mesi => Box::new(TableProtocol::new(ir::mesi())),
-        }
+    /// Panics if a [`ProtocolKind::RwbThreshold`] value is outside
+    /// [`ir::RWB_THRESHOLDS`].
+    pub fn build(self) -> Protocol {
+        static LOWERED: [OnceLock<Protocol>; 14] = [const { OnceLock::new() }; 14];
+        let slot = match self {
+            ProtocolKind::Rb => 0,
+            ProtocolKind::RbNoBroadcast => 1,
+            ProtocolKind::Rwb => 2,
+            ProtocolKind::RwbThreshold(k) if ir::RWB_THRESHOLDS.contains(&k) => 2 + usize::from(k),
+            // Out of range: `ir::rwb` panics with the accepted range.
+            ProtocolKind::RwbThreshold(_) => return Protocol::new(ir::table(self)),
+            ProtocolKind::WriteOnce => 11,
+            ProtocolKind::WriteThrough => 12,
+            ProtocolKind::Mesi => 13,
+        };
+        LOWERED[slot]
+            .get_or_init(|| Protocol::new(ir::table(self)))
+            .clone()
     }
 }
 
 impl fmt::Display for ProtocolKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Delegate to the built protocol so names stay in one place.
+        // Delegate to the table so names stay in one place.
         write!(f, "{}", self.build().name())
     }
 }
@@ -101,8 +109,10 @@ mod tests {
 
     #[test]
     fn all_contains_distinct_protocols() {
-        let names: std::collections::HashSet<String> =
-            ProtocolKind::ALL.iter().map(|k| k.build().name()).collect();
+        let names: std::collections::HashSet<String> = ProtocolKind::ALL
+            .iter()
+            .map(|k| k.build().name().to_owned())
+            .collect();
         assert_eq!(names.len(), ProtocolKind::ALL.len());
     }
 }

@@ -5,34 +5,40 @@
 //!
 //! Rudolph & Segall (1984) propose two snooping protocols:
 //!
-//! * **RB** ([`Rb`], Figure 3-1): three per-line states — `R`eadable,
-//!   `I`nvalid, `L`ocal. Values fetched by any bus read are *broadcast*:
-//!   every cache holding the address captures the value and becomes
-//!   readable. Writes are write-through and invalidate other copies,
-//!   dynamically reclassifying the datum as local to the writer.
-//! * **RWB** ([`Rwb`], Figure 5-1): additionally snoops the *data* of bus
-//!   writes and adds a `F`irst-write state plus a **bus invalidate**
-//!   signal. A datum only reverts to the local configuration after `k`
-//!   uninterrupted writes by one processor (the paper uses `k = 2`).
+//! * **RB** ([`ProtocolKind::Rb`], Figure 3-1): three per-line states —
+//!   `R`eadable, `I`nvalid, `L`ocal. Values fetched by any bus read are
+//!   *broadcast*: every cache holding the address captures the value and
+//!   becomes readable. Writes are write-through and invalidate other
+//!   copies, dynamically reclassifying the datum as local to the writer.
+//! * **RWB** ([`ProtocolKind::Rwb`], Figure 5-1): additionally snoops the
+//!   *data* of bus writes and adds a `F`irst-write state plus a **bus
+//!   invalidate** signal. A datum only reverts to the local configuration
+//!   after `k` uninterrupted writes by one processor (the paper uses
+//!   `k = 2`).
 //!
 //! Two classic schemes are implemented as baselines: Goodman's
-//! *write-once* ([`WriteOnce`], the "event broadcasting" scheme the paper
-//! extends) and plain *write-through-invalidate* ([`WriteThrough`]).
+//! *write-once* ([`ProtocolKind::WriteOnce`], the "event broadcasting"
+//! scheme the paper extends) and plain *write-through-invalidate*
+//! ([`ProtocolKind::WriteThrough`]); MESI ([`ProtocolKind::Mesi`]) shows a
+//! guarded read-miss fill.
 //!
-//! All protocols implement the [`Protocol`] trait: a per-line finite state
-//! machine consulted by the cache controller on CPU references, on
-//! completion of its own bus transactions, and on snooped foreign
-//! transactions. The trait is deliberately *pure* (no `&mut self`, no side
-//! effects): protocols map observations to [`CpuOutcome`]/[`SnoopOutcome`]
-//! decisions, and the machine crate applies them. That purity is what
-//! makes the product-machine proof of `decache-verify` executable.
+//! Every protocol is one guarded-action rule table ([`ir::table`]), the
+//! per-line state table of the paper's figures. [`Protocol`] lowers a
+//! table into dense decision arrays and is the only executor: the cache
+//! controller consults it on CPU references, on completion of its own
+//! bus transactions, and on snooped foreign transactions. Decisions are
+//! *pure* (no `&mut self`, no side effects): they map observations to
+//! [`CpuOutcome`]/[`SnoopOutcome`] values, and the machine crate applies
+//! them. The static analyzer, the product-machine proof of
+//! `decache-verify` and the figure exporter read the same tables the
+//! machine executes.
 //!
 //! # Examples
 //!
 //! ```
-//! use decache_core::{BusIntent, CpuOutcome, LineState, Protocol, Rb};
+//! use decache_core::{BusIntent, CpuOutcome, LineState, ProtocolKind};
 //!
-//! let rb = Rb::new();
+//! let rb = ProtocolKind::Rb.build();
 //! // A CPU write to a readable (shared) line is a write-through:
 //! match rb.cpu_write(Some(LineState::Readable)) {
 //!     CpuOutcome::Miss { intent } => assert_eq!(intent, BusIntent::Write),
@@ -48,26 +54,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod any;
 mod config;
 mod diagram;
-pub mod introspect;
 pub mod ir;
 mod kind;
 mod protocol;
-mod rb;
-mod rwb;
 mod state;
-mod write_once;
-mod write_through;
 
-pub use any::AnyProtocol;
 pub use config::Configuration;
 pub use diagram::{to_dot, transition_table, Stimulus, TransitionRow};
 pub use kind::ProtocolKind;
 pub use protocol::{BusIntent, CpuOutcome, Protocol, SnoopEvent, SnoopOutcome};
-pub use rb::Rb;
-pub use rwb::Rwb;
 pub use state::LineState;
-pub use write_once::WriteOnce;
-pub use write_through::WriteThrough;

@@ -12,6 +12,7 @@ use std::fmt;
 /// | RWB | `Invalid`, `Readable`, `FirstWrite(c)`, `Local` |
 /// | Write-once | `Invalid`, `Valid`, `Reserved`, `Dirty` |
 /// | Write-through | `Invalid`, `Valid` |
+/// | MESI | `Invalid`, `Valid` (S), `Reserved` (E), `Dirty` (M) |
 ///
 /// `FirstWrite(c)` carries the count of uninterrupted writes observed so
 /// far (`1 ..= k-1`); the paper's footnote 6 allows requiring "at least k
@@ -21,7 +22,7 @@ use std::fmt;
 ///
 /// The "not present" (`NP`) state of the paper's proof sketch is *not* a
 /// variant: absence from the tag store represents it, and the [`Protocol`]
-/// trait models it as `None`.
+/// decision methods take it as `None`.
 ///
 /// [`Protocol::states`]: crate::Protocol::states
 /// [`Protocol`]: crate::Protocol

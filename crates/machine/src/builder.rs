@@ -335,7 +335,7 @@ impl MachineBuilder {
                 Routing::clustered(clusters, global_words, cluster_words)
             }
         };
-        let protocol = decache_core::AnyProtocol::build(self.protocol);
+        let protocol = self.protocol.build();
         let geometry = self
             .geometry
             .unwrap_or_else(|| Geometry::direct_mapped(self.cache_lines));

@@ -32,7 +32,7 @@ use crate::telemetry::{CycleHistograms, Histogram};
 use crate::{FaultStats, MachineStats, OpResult};
 use decache_bus::{ArbiterCheckpoint, BusTransaction, QueueState, TrafficStats};
 use decache_cache::{CacheStats, RefClass, TagStoreCheckpoint};
-use decache_core::{LineState, Protocol};
+use decache_core::LineState;
 use decache_mem::{Addr, MemoryStats, PeId, Word};
 use decache_rng::Rng;
 use std::error::Error;
@@ -575,7 +575,7 @@ impl Machine {
 
         Ok(MachineCheckpoint {
             version: CHECKPOINT_VERSION,
-            protocol: Protocol::name(&self.protocol),
+            protocol: self.protocol.name().to_owned(),
             pes: self.processors.len() as u64,
             bus_count: buses as u64,
             memory_size: self.memory.size(),
@@ -670,7 +670,8 @@ impl Machine {
     /// Validates that `ck` matches this machine's build-time shape
     /// without mutating anything: format version, protocol, geometry,
     /// PE/bus/memory dimensions, fault-plan and telemetry presence,
-    /// per-PE and per-bus vector lengths, and RNG-state sanity.
+    /// per-PE and per-bus vector lengths, RNG-state sanity, and that
+    /// every cached line is in one of the protocol's declared states.
     fn validate_checkpoint(&self, ck: &MachineCheckpoint) -> Result<(), RestoreError> {
         if ck.version != CHECKPOINT_VERSION {
             return Err(RestoreError::Version {
@@ -678,7 +679,7 @@ impl Machine {
                 expected: CHECKPOINT_VERSION,
             });
         }
-        let own_protocol = Protocol::name(&self.protocol);
+        let own_protocol = self.protocol.name().to_owned();
         if ck.protocol != own_protocol {
             return Err(RestoreError::Protocol {
                 found: ck.protocol.clone(),
@@ -762,8 +763,19 @@ impl Machine {
             }
         }
 
+        let states = self.protocol.states();
         for (pe, cache) in ck.caches.iter().enumerate() {
             check_rng(&format!("P{pe} cache RNG"), cache.rng_state)?;
+            let mut held = cache.lines.iter().filter_map(|line| line.state);
+            if let Some(state) = held.find(|s| !states.contains(s)) {
+                return Err(component(
+                    format!("P{pe} cache"),
+                    format!(
+                        "line state {state:?} is not a {} state",
+                        self.protocol.name()
+                    ),
+                ));
+            }
         }
         for (bus, arb) in ck.arbiters.iter().enumerate() {
             if let ArbiterCheckpoint::Random { rng_state } = arb {

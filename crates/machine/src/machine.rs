@@ -15,7 +15,7 @@ use decache_bus::{
     TrafficStats,
 };
 use decache_cache::{AccessKind, CacheStats, TagStore};
-use decache_core::{AnyProtocol, BusIntent, CpuOutcome, LineState, Protocol, SnoopEvent};
+use decache_core::{BusIntent, CpuOutcome, LineState, Protocol, SnoopEvent};
 use decache_mem::{Addr, AddrRange, MemError, Memory, PeId, Word};
 use std::collections::HashMap;
 
@@ -50,7 +50,7 @@ pub(crate) mod checkpoint;
 ///   bus cycle and is requeued through arbitration — "any bus writes
 ///   before the unlock will fail" (Section 3).
 pub struct Machine {
-    protocol: AnyProtocol,
+    protocol: Protocol,
     routing: Routing,
     memory: Memory,
     caches: Vec<TagStore<LineState>>,
@@ -204,7 +204,7 @@ impl std::fmt::Debug for Machine {
 impl Machine {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        protocol: AnyProtocol,
+        protocol: Protocol,
         routing: Routing,
         memory: Memory,
         caches: Vec<TagStore<LineState>>,
@@ -303,7 +303,7 @@ impl Machine {
     }
 
     /// The coherence protocol in use.
-    pub fn protocol(&self) -> &dyn Protocol {
+    pub fn protocol(&self) -> &Protocol {
         &self.protocol
     }
 

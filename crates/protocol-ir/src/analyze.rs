@@ -32,8 +32,7 @@
 //! over-approximates reachability, its dead set is a *subset* of any
 //! coverage-based dead set: statically-dead rules are dead at every n.
 
-use decache_core::introspect::{SnoopKind, TableInput, TransitionKey};
-use decache_core::ir::{Effect, Guard, Rule, RuleTable};
+use decache_core::ir::{Effect, Guard, Rule, RuleTable, SnoopKind, TableInput, TransitionKey};
 use decache_core::{BusIntent, Configuration, LineState};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::fmt;
@@ -137,7 +136,7 @@ pub fn analyze(table: &RuleTable, allow_intermediate: bool) -> Analysis {
     diagnostics.dedup();
     if !diagnostics.is_empty() {
         // A non-total or ambiguous table cannot be executed (the
-        // interpreter would panic mid-exploration); report the
+        // exploration would hit a missing cell); report the
         // syntactic findings and skip reachability.
         return Analysis {
             protocol: table.name.clone(),
@@ -181,9 +180,9 @@ pub fn analyze(table: &RuleTable, allow_intermediate: bool) -> Analysis {
 // Syntactic pass: totality, determinism, shape, symmetry.
 // ---------------------------------------------------------------------
 
-/// The input classes of the domain for one from-state, mirroring
-/// `decache_core::introspect::transition_domain` (BI rows gated, supply
-/// optional).
+/// The input classes of the domain for one from-state: `BI` rows only
+/// for invalidating tables, snoop/supply/evict rows only for held states,
+/// and supply optional (its presence defines the supplying states).
 fn domain_inputs(table: &RuleTable, held: bool) -> Vec<(TableInput, bool)> {
     let bi = table.uses_bus_invalidate;
     let mut inputs = vec![
@@ -1031,12 +1030,11 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table_for;
-    use decache_core::ProtocolKind;
+    use decache_core::{ir, ProtocolKind};
 
     #[test]
     fn rb_is_proved_and_explores_a_small_space() {
-        let analysis = analyze(&table_for(ProtocolKind::Rb), false);
+        let analysis = analyze(&ir::table(ProtocolKind::Rb), false);
         assert!(
             analysis.proved(),
             "RB diagnostics: {:?}",
@@ -1066,7 +1064,7 @@ mod tests {
     fn rb_without_intermediate_class_rejects_rwb() {
         // RWB's F states classify as intermediate; under RB's stricter
         // shared-or-local lemma the analyzer must refute them.
-        let analysis = analyze(&table_for(ProtocolKind::Rwb), false);
+        let analysis = analyze(&ir::table(ProtocolKind::Rwb), false);
         assert!(!analysis.proved());
         assert!(analysis
             .diagnostics

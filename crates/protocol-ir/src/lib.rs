@@ -1,60 +1,39 @@
 //! # decache-protocol-ir
 //!
-//! Protocols as provable data: the guarded-action rule compiler, the
-//! hand-written declarative tables, and the **per-rule static analyzer**.
+//! Protocols as provable data: the **per-rule static analyzer** of
+//! guarded-action rule tables.
 //!
-//! The IR itself ([`decache_core::ir`]) lives in the core crate so the
-//! machine can execute table-defined protocols; this crate holds
-//! everything that reasons *about* tables:
+//! The IR itself and the tables of every built-in protocol
+//! ([`decache_core::ir`]) live in the core crate, which lowers them for
+//! execution; this crate proves the very tables the machine runs.
+//! [`analyze`] checks totality, determinism, PE-symmetry, and
+//! coherence-invariant preservation over a **counting abstraction**
+//! whose `Many` element covers every cache count `n` at once (the
+//! small-model argument), plus dead-rule and unreachable-state
+//! detection.
 //!
-//! * [`compile`] — derives a [`RuleTable`] for any [`Protocol`]
-//!   implementation by probing its `transition_domain`, turning the
-//!   hand-coded Rust state machines into data;
-//! * [`hand_table`] — independent, hand-written declarative tables for
-//!   the paper's seven schemes, cross-checked against [`compile`] so a
-//!   transcription slip in either direction fails a test;
-//! * [`analyze`] — the static analyzer: totality, determinism,
-//!   PE-symmetry, and coherence-invariant preservation proven over a
-//!   **counting abstraction** whose `Many` element covers every cache
-//!   count `n` at once (the small-model argument), plus dead-rule and
-//!   unreachable-state detection that subsumes the old coverage lint.
-//!
-//! `decache_verify::static_check` orchestrates these into the CI gate.
+//! `decache_verify::static_check` orchestrates this into the CI gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analyze;
-mod compile;
-mod tables;
 
 pub use analyze::{analyze, Analysis, CheckKind, Diagnostic};
-pub use compile::compile;
-pub use tables::hand_table;
 
-use decache_core::ir::RuleTable;
-use decache_core::ProtocolKind;
+use decache_core::{ir, ProtocolKind};
 
-/// The rule table for a protocol kind: MESI's native IR table, or the
-/// compiled form of a hand-coded protocol.
-pub fn table_for(kind: ProtocolKind) -> RuleTable {
-    match kind {
-        ProtocolKind::Mesi => decache_core::ir::mesi(),
-        _ => compile(kind.build().as_ref()),
-    }
-}
-
-/// Whether the analyzer (like the product checker) should accept the
-/// *intermediate* configuration class for this protocol. RB proves the
-/// stronger shared-or-local lemma; everything with a first-write-style
-/// state (RWB's `F`, write-once's and MESI's exclusive-clean) needs
-/// intermediate.
+/// Whether the analyzer, the product checker and the conformance oracle
+/// accept the *intermediate* configuration class for this protocol. RB
+/// proves the stronger shared-or-local lemma; everything with a
+/// first-write-style state (RWB's `F`, write-once's and MESI's
+/// exclusive-clean) needs intermediate.
 pub fn allow_intermediate(kind: ProtocolKind) -> bool {
     !matches!(kind, ProtocolKind::Rb | ProtocolKind::RbNoBroadcast)
 }
 
-/// Analyzer defaults for [`table_for`]: [`analyze`] at the kind's
-/// legality class.
+/// Analyzer defaults for a built-in protocol: [`analyze`] of
+/// [`ir::table`] at the kind's legality class.
 pub fn analyze_kind(kind: ProtocolKind) -> Analysis {
-    analyze(&table_for(kind), allow_intermediate(kind))
+    analyze(&ir::table(kind), allow_intermediate(kind))
 }

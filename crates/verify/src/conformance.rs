@@ -62,7 +62,7 @@ impl fmt::Display for ConformanceError {
 /// The shared oracle state: the shadow cache model and the error log.
 #[derive(Debug)]
 struct Inner {
-    protocol: Box<dyn Protocol>,
+    protocol: Protocol,
     allow_intermediate: bool,
     n: usize,
     /// Shadow line states per address: `lines[addr][pe]`, `None` = NP.
@@ -99,7 +99,7 @@ impl Inner {
             config.is_rb_legal()
         };
         if !legal {
-            let name = self.protocol.name();
+            let name = self.protocol.name().to_owned();
             self.fail(
                 cycle,
                 format!("{name}: illegal configuration {config} at addr {addr} ({held:?})"),
@@ -151,7 +151,7 @@ impl Inner {
                     (CpuOutcome::Miss { intent }, CpuDecision::Miss(observed))
                         if intent == observed => {}
                     (expected, observed) => {
-                        let name = self.protocol.name();
+                        let name = self.protocol.name().to_owned();
                         self.fail(
                             cycle,
                             format!(
@@ -180,7 +180,7 @@ impl Inner {
                         self.snoop_others(addr, SnoopEvent::Write(probe), &[supplier, initiator]);
                     }
                     _ => {
-                        let name = self.protocol.name();
+                        let name = self.protocol.name().to_owned();
                         self.fail(
                             cycle,
                             format!(
@@ -200,7 +200,7 @@ impl Inner {
                     j != pe && cell.is_some_and(|st| self.protocol.supplies_on_snoop_read(st))
                 });
                 if let Some((j, _)) = skipped {
-                    let name = self.protocol.name();
+                    let name = self.protocol.name().to_owned();
                     self.fail(
                         cycle,
                         format!(
@@ -269,7 +269,7 @@ impl Inner {
                 let state = self.cells(addr)[pe];
                 let readable = state.is_some_and(LineState::is_readable_locally);
                 if !readable {
-                    let name = self.protocol.name();
+                    let name = self.protocol.name().to_owned();
                     self.fail(
                         cycle,
                         format!(
@@ -290,7 +290,7 @@ impl Inner {
                     Some(st) => {
                         let expected = self.protocol.writeback_on_evict(st);
                         if expected != writeback {
-                            let name = self.protocol.name();
+                            let name = self.protocol.name().to_owned();
                             self.fail(
                                 cycle,
                                 format!(
@@ -302,7 +302,7 @@ impl Inner {
                         self.cells(addr)[pe] = None;
                     }
                     None => {
-                        let name = self.protocol.name();
+                        let name = self.protocol.name().to_owned();
                         self.fail(
                             cycle,
                             format!("{name}: P{pe} evicted addr {addr} it does not hold"),
@@ -368,22 +368,13 @@ pub struct Refinement {
 impl Refinement {
     /// Creates an oracle for `n` PEs under `kind`'s protocol tables.
     pub fn new(kind: ProtocolKind, n: usize) -> Self {
-        let allow_intermediate = !matches!(kind, ProtocolKind::Rb | ProtocolKind::RbNoBroadcast);
-        Refinement {
-            inner: Arc::new(Mutex::new(Inner {
-                protocol: kind.build(),
-                allow_intermediate,
-                n,
-                lines: std::collections::HashMap::new(),
-                errors: Vec::new(),
-                steps: 0,
-            })),
-        }
+        let allow_intermediate = decache_protocol_ir::allow_intermediate(kind);
+        Self::from_protocol(kind.build(), allow_intermediate, n)
     }
 
     /// Creates an oracle with an explicit (possibly mismatched) model —
     /// for testing that the oracle itself has teeth.
-    pub fn from_protocol(protocol: Box<dyn Protocol>, allow_intermediate: bool, n: usize) -> Self {
+    pub fn from_protocol(protocol: Protocol, allow_intermediate: bool, n: usize) -> Self {
         Refinement {
             inner: Arc::new(Mutex::new(Inner {
                 protocol,

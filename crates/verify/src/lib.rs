@@ -27,22 +27,19 @@
 //! directly: concurrent readers of a streamed shared word must never
 //! observe a version regression.
 //!
-//! Around the product machine sit three static-analysis companions:
+//! Around the product machine sit three companions:
 //!
 //! * **Witness traces** ([`Witness`]) — any invariant violation is
 //!   reconstructed as the shortest event sequence from the initial
 //!   state to the bad configuration, rendered with the paper's state
 //!   letters.
-//! * **Dead-transition lint** ([`lint`], [`ProductChecker::lint`]) —
-//!   transition-table rows that can never fire, unreachable states,
-//!   and non-total handling under exhaustive exploration at one `n`.
 //! * **Static analyzer gate** ([`static_check`]) — per-rule proofs of
 //!   totality, determinism, PE-symmetry, and invariant preservation
 //!   over **all** cache counts at once via
-//!   [`decache_protocol_ir`]'s counting abstraction, whose dead-rule
-//!   detection subsumes the dynamic lint; pinned by
-//!   `static_baseline.txt` and gated in CI by the `protocol_lint`
-//!   binary.
+//!   [`decache_protocol_ir`]'s counting abstraction, plus dead-rule
+//!   detection; pinned by `static_baseline.txt` and gated in CI by the
+//!   `protocol_lint` binary. It proves the same rule tables the machine
+//!   executes.
 //! * **Live conformance oracle** ([`Refinement`]) — subscribes to a
 //!   running [`decache_machine::Machine`]'s observation stream and
 //!   replays every simulator step against the pure protocol tables,
@@ -56,7 +53,6 @@
 #![warn(missing_docs)]
 
 pub mod conformance;
-pub mod lint;
 mod monotonic;
 mod oracle;
 mod product;
@@ -64,7 +60,6 @@ pub mod static_check;
 mod witness;
 
 pub use conformance::{ConformanceError, Refinement};
-pub use lint::{Coverage, LintReport};
 pub use monotonic::{check_monotonic_reads, MonotonicReport};
 pub use oracle::{OracleError, OracleReport, SerialOracle};
 pub use product::{ProductChecker, ProductReport};

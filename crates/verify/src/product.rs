@@ -1,8 +1,6 @@
 //! The Section 4 product-machine model checker.
 
-use crate::lint::{self, Coverage, LintReport};
 use crate::witness::{Invariant, Step, Witness, WitnessEvent};
-use decache_core::introspect::{SnoopKind, TableInput};
 use decache_core::{
     BusIntent, Configuration, CpuOutcome, LineState, Protocol, ProtocolKind, SnoopEvent,
 };
@@ -107,8 +105,10 @@ pub struct ProductReport {
     pub witness: Option<Witness>,
     /// Every reachable configuration classification (for reporting).
     pub configurations: Vec<Configuration>,
-    /// Which transition-table cells fired (input to the lint).
-    pub coverage: Coverage,
+    /// Declared states no reachable product state contains. The static
+    /// analyzer proves reachability over all `n` at once; a state it
+    /// reaches may still need more caches than this exploration had.
+    pub unreachable_states: Vec<LineState>,
 }
 
 impl ProductReport {
@@ -134,7 +134,7 @@ impl ProductReport {
 /// ```
 #[derive(Debug)]
 pub struct ProductChecker {
-    protocol: Box<dyn Protocol>,
+    protocol: Protocol,
     /// Whether the intermediate configuration is legal (RWB-family and
     /// write-once/write-through) or only shared/local (RB).
     allow_intermediate: bool,
@@ -155,7 +155,8 @@ struct Exploration {
     parent: Vec<Option<(usize, Event)>>,
     violations: Vec<String>,
     witness: Option<Witness>,
-    coverage: Coverage,
+    /// Every line state some reachable product state contains.
+    reached: Vec<LineState>,
 }
 
 impl Exploration {
@@ -167,7 +168,7 @@ impl Exploration {
             parent: vec![None],
             violations: Vec::new(),
             witness: None,
-            coverage: Coverage::default(),
+            reached: Vec::new(),
         }
     }
 
@@ -238,19 +239,19 @@ impl ProductChecker {
     ///
     /// Panics if `n` is zero.
     pub fn new(kind: ProtocolKind, n: usize) -> Self {
-        let allow_intermediate = !matches!(kind, ProtocolKind::Rb | ProtocolKind::RbNoBroadcast);
+        let allow_intermediate = decache_protocol_ir::allow_intermediate(kind);
         Self::from_protocol(kind.build(), allow_intermediate, n)
     }
 
-    /// Creates a checker for an arbitrary [`Protocol`] implementation —
-    /// including deliberately broken ones, for mutation-testing the
-    /// checker itself. `allow_intermediate` selects the legality rule
-    /// (false = RB's shared/local only).
+    /// Creates a checker for an arbitrary [`Protocol`] — including one
+    /// lowered from a deliberately broken rule table, for
+    /// mutation-testing the checker itself. `allow_intermediate` selects
+    /// the legality rule (false = RB's shared/local only).
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn from_protocol(protocol: Box<dyn Protocol>, allow_intermediate: bool, n: usize) -> Self {
+    pub fn from_protocol(protocol: Protocol, allow_intermediate: bool, n: usize) -> Self {
         assert!(n > 0, "the product machine needs at least one cache");
         ProductChecker {
             protocol,
@@ -279,7 +280,7 @@ impl ProductChecker {
     }
 
     /// The display name of the protocol under check.
-    pub fn protocol_name(&self) -> String {
+    pub fn protocol_name(&self) -> &str {
         self.protocol.name()
     }
 
@@ -328,13 +329,7 @@ impl ProductChecker {
     /// line readable — the sharer bit for guarded fills, sampled after
     /// the supply settles but before the broadcast, exactly where the
     /// machine samples it.
-    fn bus_read_effects(
-        &self,
-        s: &mut PState,
-        initiator: usize,
-        locked: bool,
-        cov: &mut Coverage,
-    ) -> bool {
+    fn bus_read_effects(&self, s: &mut PState, initiator: usize, locked: bool) -> bool {
         // Interrupt-and-supply: an owning cache kills the read, writes
         // its (latest) data to memory, and demotes. The initiator's own
         // cache participates: a locked read bypasses the cache, so an
@@ -344,7 +339,6 @@ impl ProductChecker {
             .find(|&j| s.cells[j].is_some_and(|(st, _)| self.protocol.supplies_on_snoop_read(st)))
         {
             let (st, latest) = s.cells[supplier].expect("supplier holds the line");
-            cov.record(Some(st), TableInput::Supply);
             s.mem_latest = latest;
             s.cells[supplier] = Some((self.protocol.after_supply(st), latest));
             // The substituted write is snooped by the other holders.
@@ -354,7 +348,6 @@ impl ProductChecker {
                     continue;
                 }
                 if let Some((st, _)) = s.cells[j] {
-                    cov.record(Some(st), TableInput::Snoop(SnoopKind::Write));
                     let out = self.protocol.snoop(st, SnoopEvent::Write(probe));
                     // A capture copies the supplier's (latest) data.
                     let now_latest = out.capture && latest;
@@ -366,17 +359,16 @@ impl ProductChecker {
             .any(|j| j != initiator && s.cells[j].is_some_and(|(st, _)| st.is_readable_locally()));
         // The (retried) read returns the memory value and broadcasts it.
         let probe = Word::ZERO;
-        let (event, kind) = if locked {
-            (SnoopEvent::LockedRead(probe), SnoopKind::LockedRead)
+        let event = if locked {
+            SnoopEvent::LockedRead(probe)
         } else {
-            (SnoopEvent::Read(probe), SnoopKind::Read)
+            SnoopEvent::Read(probe)
         };
         for j in 0..self.n {
             if j == initiator {
                 continue;
             }
             if let Some((st, was_latest)) = s.cells[j] {
-                cov.record(Some(st), TableInput::Snoop(kind));
                 let out = self.protocol.snoop(st, event);
                 let now_latest = if out.capture {
                     s.mem_latest
@@ -391,26 +383,19 @@ impl ProductChecker {
 
     /// Applies the effects of a bus write (data or unlocking): memory is
     /// updated with the new latest value and every holder snoops it.
-    fn bus_write_effects(
-        &self,
-        s: &mut PState,
-        initiator: usize,
-        unlock: bool,
-        cov: &mut Coverage,
-    ) {
+    fn bus_write_effects(&self, s: &mut PState, initiator: usize, unlock: bool) {
         s.mem_latest = true;
         let probe = Word::ZERO;
-        let (event, kind) = if unlock {
-            (SnoopEvent::UnlockWrite(probe), SnoopKind::UnlockWrite)
+        let event = if unlock {
+            SnoopEvent::UnlockWrite(probe)
         } else {
-            (SnoopEvent::Write(probe), SnoopKind::Write)
+            SnoopEvent::Write(probe)
         };
         for j in 0..self.n {
             if j == initiator {
                 continue;
             }
             if let Some((st, _)) = s.cells[j] {
-                cov.record(Some(st), TableInput::Snoop(kind));
                 let out = self.protocol.snoop(st, event);
                 // Whatever was cached is superseded; only captures of the
                 // new value are latest.
@@ -419,20 +404,13 @@ impl ProductChecker {
         }
     }
 
-    /// Applies one event, recording table coverage and any transition
-    /// (theorem) violations; returns the successor state.
-    fn apply(
-        &self,
-        s: &PState,
-        event: Event,
-        violations: &mut Vec<(Invariant, String)>,
-        cov: &mut Coverage,
-    ) -> PState {
+    /// Applies one event, recording any transition (theorem)
+    /// violations; returns the successor state.
+    fn apply(&self, s: &PState, event: Event, violations: &mut Vec<(Invariant, String)>) -> PState {
         let mut next = s.clone();
         match event {
             Event::CpuRead(i) => {
                 let state_i = s.cells[i].map(|(st, _)| st);
-                cov.record(state_i, TableInput::CpuRead);
                 match self.protocol.cpu_read(state_i) {
                     CpuOutcome::Hit { next: to } => {
                         let (_, latest) = s.cells[i].expect("hit requires a held line");
@@ -451,7 +429,7 @@ impl ProductChecker {
                     }
                     CpuOutcome::Miss { intent } => {
                         debug_assert_eq!(intent, BusIntent::Read);
-                        let shared = self.bus_read_effects(&mut next, i, false, cov);
+                        let shared = self.bus_read_effects(&mut next, i, false);
                         // The initiator reads from (now current) memory.
                         if !next.mem_latest {
                             violations.push((
@@ -462,7 +440,6 @@ impl ProductChecker {
                                 ),
                             ));
                         }
-                        cov.record(state_i, TableInput::OwnComplete(BusIntent::Read));
                         let to =
                             self.protocol
                                 .own_complete_shared(state_i, BusIntent::Read, shared);
@@ -472,7 +449,6 @@ impl ProductChecker {
             }
             Event::CpuWrite(i) => {
                 let state_i = s.cells[i].map(|(st, _)| st);
-                cov.record(state_i, TableInput::CpuWrite);
                 match self.protocol.cpu_write(state_i) {
                     CpuOutcome::Hit { next: to } => {
                         // A silent local write creates a new latest value
@@ -490,8 +466,7 @@ impl ProductChecker {
                     CpuOutcome::Miss { intent } => {
                         match intent {
                             BusIntent::Write => {
-                                self.bus_write_effects(&mut next, i, false, cov);
-                                cov.record(state_i, TableInput::OwnComplete(BusIntent::Write));
+                                self.bus_write_effects(&mut next, i, false);
                                 let to = self.protocol.own_complete(state_i, BusIntent::Write);
                                 next.cells[i] = Some((to, true));
                             }
@@ -503,15 +478,10 @@ impl ProductChecker {
                                         continue;
                                     }
                                     if let Some((st, _)) = next.cells[j] {
-                                        cov.record(
-                                            Some(st),
-                                            TableInput::Snoop(SnoopKind::Invalidate),
-                                        );
                                         let out = self.protocol.snoop(st, SnoopEvent::Invalidate);
                                         next.cells[j] = Some((out.next, false));
                                     }
                                 }
-                                cov.record(state_i, TableInput::OwnComplete(BusIntent::Invalidate));
                                 let to = self.protocol.own_complete(state_i, BusIntent::Invalidate);
                                 next.cells[i] = Some((to, true));
                             }
@@ -523,7 +493,7 @@ impl ProductChecker {
             Event::TsLock(i) => {
                 // The locked read bypasses the cache, reads (current)
                 // memory, and broadcasts.
-                let _ = self.bus_read_effects(&mut next, i, true, cov);
+                let _ = self.bus_read_effects(&mut next, i, true);
                 if !next.mem_latest {
                     violations.push((
                         Invariant::StaleMemoryServed,
@@ -534,15 +504,13 @@ impl ProductChecker {
                     ));
                 }
                 let state_i = s.cells[i].map(|(st, _)| st);
-                cov.record(state_i, TableInput::OwnLockedRead);
                 let to = self.protocol.own_locked_read_complete(state_i);
                 next.cells[i] = Some((to, next.mem_latest));
                 next.locked_by = Some(i);
             }
             Event::TsCommit(i) => {
-                self.bus_write_effects(&mut next, i, true, cov);
+                self.bus_write_effects(&mut next, i, true);
                 let state_i = s.cells[i].map(|(st, _)| st);
-                cov.record(state_i, TableInput::OwnUnlockWrite);
                 let to = self.protocol.own_unlock_write_complete(state_i);
                 next.cells[i] = Some((to, true));
                 next.locked_by = None;
@@ -553,7 +521,6 @@ impl ProductChecker {
             }
             Event::Evict(i) => {
                 let (st, latest) = s.cells[i].expect("evicting a held line");
-                cov.record(Some(st), TableInput::Evict);
                 if self.protocol.writeback_on_evict(st) {
                     next.mem_latest = latest;
                 }
@@ -642,7 +609,7 @@ impl ProductChecker {
             let state = exp.states[idx].clone();
             for event in self.enabled_events(&state) {
                 let mut found = Vec::new();
-                let next = self.apply(&state, event, &mut found, &mut exp.coverage);
+                let next = self.apply(&state, event, &mut found);
                 transitions += 1;
                 if !found.is_empty() {
                     exp.record_transition_violations(idx, event, &next, found);
@@ -652,7 +619,9 @@ impl ProductChecker {
                     exp.index.insert(next.clone(), ni);
                     exp.parent.push(Some((idx, event)));
                     for (st, _) in next.cells.iter().flatten() {
-                        exp.coverage.see_state(*st);
+                        if !exp.reached.contains(st) {
+                            exp.reached.push(*st);
+                        }
                     }
                     let mut found = Vec::new();
                     configurations.insert(self.check(&next, &mut found));
@@ -675,22 +644,14 @@ impl ProductChecker {
             violations: exp.violations,
             witness: exp.witness,
             configurations,
-            coverage: exp.coverage,
+            unreachable_states: self
+                .protocol
+                .states()
+                .iter()
+                .copied()
+                .filter(|s| !exp.reached.contains(s))
+                .collect(),
         }
-    }
-
-    /// Builds the dead-transition lint report from an exploration of
-    /// this checker (see [`crate::lint`]). The lint domain respects this
-    /// checker's event restrictions, so `without_evictions` /
-    /// `without_test_and_set` do not surface disabled families as dead.
-    pub fn lint(&self, report: &ProductReport) -> LintReport {
-        lint::build_report(
-            self.protocol.as_ref(),
-            &report.coverage,
-            self.n,
-            self.evictions,
-            self.test_and_set,
-        )
     }
 }
 
@@ -745,8 +706,8 @@ mod tests {
 
     #[test]
     fn mesi_table_protocol_lemma_and_theorem_hold() {
-        // MESI exists only as IR data; the generic interpreter must
-        // satisfy the same lemma/theorem as the hand-coded protocols.
+        // MESI's guarded fill must satisfy the same lemma/theorem as
+        // the paper's guard-free tables.
         for n in 1..=4 {
             let report = ProductChecker::new(ProtocolKind::Mesi, n).explore();
             assert!(report.holds(), "n={n}: {:?}", report.violations);
@@ -795,19 +756,31 @@ mod tests {
     }
 
     #[test]
-    fn coverage_fires_the_live_rb_rows() {
-        let report = ProductChecker::new(ProtocolKind::Rb, 3).explore();
-        let cov = &report.coverage;
-        // The dynamic-classification core: a write-through makes the
-        // writer local, a read broadcast re-shares.
-        assert!(cov.has_fired(Some(LineState::Readable), TableInput::CpuWrite));
-        assert!(cov.has_fired(Some(LineState::Local), TableInput::Supply));
-        assert!(cov.has_fired(Some(LineState::Invalid), TableInput::Snoop(SnoopKind::Read)));
-        assert!(cov.has_fired(None, TableInput::CpuRead));
-        // But an owner can never snoop a plain bus read: the supply path
-        // always intercepts first.
-        assert!(!cov.has_fired(Some(LineState::Local), TableInput::Snoop(SnoopKind::Read)));
-        assert!(cov.state_reached(LineState::Local));
+    fn every_kind_reaches_all_its_states_at_the_canonical_config() {
+        for kind in [
+            ProtocolKind::Rb,
+            ProtocolKind::RbNoBroadcast,
+            ProtocolKind::Rwb,
+            ProtocolKind::RwbThreshold(1),
+            ProtocolKind::RwbThreshold(3),
+            ProtocolKind::WriteOnce,
+            ProtocolKind::WriteThrough,
+            ProtocolKind::Mesi,
+        ] {
+            let report = ProductChecker::new(kind, 3).explore();
+            assert!(report.holds());
+            assert!(
+                report.unreachable_states.is_empty(),
+                "{kind}: unreachable {:?}",
+                report.unreachable_states
+            );
+        }
+        // Without Test-and-Set and evictions RWB(k=3) still reaches F2.
+        let plain = ProductChecker::new(ProtocolKind::RwbThreshold(3), 2)
+            .without_test_and_set()
+            .without_evictions()
+            .explore();
+        assert!(plain.unreachable_states.is_empty());
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! counting-abstraction small-model argument (see
 //! [`decache_protocol_ir::analyze`]).
 //!
-//! The analyzer's dead-rule detection subsumes the old dynamic
-//! coverage lint: because the abstraction over-approximates
-//! reachability at every `n`, a statically dead rule is dead in every
-//! explored product machine (the `static_dead_rules_subsume_…` test
-//! pins that inclusion). The committed per-protocol dead set lives in
-//! `static_baseline.txt`; the `protocol_lint` binary fails CI on any
-//! deviation.
+//! Because the abstraction over-approximates reachability at every
+//! `n`, a statically dead rule is dead in every product machine. The
+//! committed per-protocol dead set lives in `static_baseline.txt`; the
+//! `protocol_lint` binary fails CI on any deviation. The rule tables
+//! proven here ([`decache_core::ir::table`]) are the ones the machine
+//! executes.
 
 use decache_core::ProtocolKind;
 pub use decache_protocol_ir::{analyze, Analysis, CheckKind, Diagnostic};
@@ -100,8 +99,6 @@ pub fn fixed_versus(analysis: &Analysis, baseline: &[String]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProductChecker;
-    use std::collections::BTreeSet;
 
     #[test]
     fn the_analyzer_proves_all_eight_protocols() {
@@ -136,31 +133,17 @@ mod tests {
         }
     }
 
-    /// The subsumption theorem behind retiring the dynamic coverage
-    /// lint: the abstraction over-approximates reachability at every
-    /// `n`, so every rule that fires in the explored `n = 3` product
-    /// machine also fires abstractly — statically dead ⊆ dynamically
-    /// dead. (The converse need not hold; the abstraction may fire
-    /// rules no small `n` can.)
+    /// The live core of RB fires abstractly — a write-through makes the
+    /// writer local, the owner supplies, a read broadcast re-shares —
+    /// while an owner can never snoop a plain bus read: the supply path
+    /// always intercepts first.
     #[test]
-    fn static_dead_rules_subsume_the_dynamic_coverage_lint() {
-        for kind in ANALYZED_KINDS {
-            let analysis = check_kind(kind);
-            let checker = ProductChecker::new(kind, 3);
-            let report = checker.explore();
-            assert!(report.holds());
-            let lint = checker.lint(&report);
-            let dynamic_dead: BTreeSet<String> =
-                lint.dead.iter().map(ToString::to_string).collect();
-            for id in &analysis.dead_rules {
-                // Rule ids extend the lint's cell keys with a guard
-                // suffix; strip it for the comparison.
-                let key = id.split(" [").next().unwrap_or(id);
-                assert!(
-                    dynamic_dead.contains(key),
-                    "{kind}: statically dead rule {id} fired in the n=3 product machine"
-                );
-            }
+    fn the_analyzer_fires_the_live_rb_rows() {
+        let analysis = check_kind(ProtocolKind::Rb);
+        let dead = |id: &str| analysis.dead_rules.iter().any(|d| d == id);
+        for live in ["R --CW", "L --supply", "I --snoop:BR", "NP --CR"] {
+            assert!(!dead(live), "{live} should fire");
         }
+        assert!(dead("L --snoop:BR"));
     }
 }

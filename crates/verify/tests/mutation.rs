@@ -1,93 +1,49 @@
-//! Mutation testing of the model checker: deliberately broken protocols
+//! Mutation testing of the model checker: deliberately broken rule tables
 //! must be *caught* by the product machine. A checker that passes
 //! everything proves nothing; these tests show each invariant has teeth
 //! — and that every catch comes with a reconstructed shortest witness
 //! trace naming the violated invariant.
 
-use decache_core::{BusIntent, CpuOutcome, LineState, Protocol, Rb, Rwb, SnoopEvent, SnoopOutcome};
+use decache_core::ir::{self, Effect, SnoopKind, TableInput};
+use decache_core::{LineState, Protocol, ProtocolKind, SnoopEvent};
 use decache_verify::{Invariant, ProductChecker, ProductReport};
 use LineState::{FirstWrite, Local, Readable};
 
-/// Wraps a healthy protocol and overrides selected behaviours through
-/// optional function pointers — one injected bug per mutant. Everything
-/// not overridden forwards to the base, so each mutant differs from
-/// health in exactly one decision.
-#[derive(Debug)]
-struct Mutant<P: Protocol> {
-    base: P,
-    name: &'static str,
-    cpu_write: Option<fn(&P, Option<LineState>) -> CpuOutcome>,
-    snoop: Option<fn(&P, LineState, SnoopEvent) -> SnoopOutcome>,
-    supplies: Option<fn(&P, LineState) -> bool>,
-    writeback: Option<fn(&P, LineState) -> bool>,
+/// Builds a mutant of a healthy table: renamed, with the rule of each
+/// edited `(from, input)` cell given a new effect (`None` removes it).
+/// Everything not edited is the healthy table, so each mutant differs
+/// from health in exactly the decisions listed.
+fn mutant(
+    kind: ProtocolKind,
+    name: &str,
+    edits: &[(LineState, TableInput, Option<Effect>)],
+) -> Protocol {
+    let mut table = ir::table(kind);
+    table.name = name.to_owned();
+    for &(from, input, effect) in edits {
+        let at = table
+            .rules
+            .iter()
+            .position(|r| r.from == Some(from) && r.input == input)
+            .unwrap_or_else(|| panic!("{name}: no rule for {from} --{input}"));
+        match effect {
+            Some(effect) => table.rules[at].effect = effect,
+            None => {
+                table.rules.remove(at);
+            }
+        }
+    }
+    Protocol::new(table)
 }
 
-impl<P: Protocol> Mutant<P> {
-    fn of(base: P, name: &'static str) -> Self {
-        Mutant {
-            base,
-            name,
-            cpu_write: None,
-            snoop: None,
-            supplies: None,
-            writeback: None,
-        }
-    }
+/// A snoop outcome as a rule effect.
+fn to(next: LineState, capture: bool) -> Option<Effect> {
+    Some(Effect::Next { next, capture })
 }
 
-impl<P: Protocol> Protocol for Mutant<P> {
-    fn name(&self) -> String {
-        self.name.to_owned()
-    }
-    fn states(&self) -> Vec<LineState> {
-        self.base.states()
-    }
-    fn cpu_read(&self, s: Option<LineState>) -> CpuOutcome {
-        self.base.cpu_read(s)
-    }
-    fn cpu_write(&self, s: Option<LineState>) -> CpuOutcome {
-        match self.cpu_write {
-            Some(f) => f(&self.base, s),
-            None => self.base.cpu_write(s),
-        }
-    }
-    fn own_complete(&self, s: Option<LineState>, i: BusIntent) -> LineState {
-        self.base.own_complete(s, i)
-    }
-    fn own_locked_read_complete(&self, s: Option<LineState>) -> LineState {
-        self.base.own_locked_read_complete(s)
-    }
-    fn own_unlock_write_complete(&self, s: Option<LineState>) -> LineState {
-        self.base.own_unlock_write_complete(s)
-    }
-    fn snoop(&self, state: LineState, event: SnoopEvent) -> SnoopOutcome {
-        match self.snoop {
-            Some(f) => f(&self.base, state, event),
-            None => self.base.snoop(state, event),
-        }
-    }
-    fn supplies_on_snoop_read(&self, s: LineState) -> bool {
-        match self.supplies {
-            Some(f) => f(&self.base, s),
-            None => self.base.supplies_on_snoop_read(s),
-        }
-    }
-    fn after_supply(&self, s: LineState) -> LineState {
-        self.base.after_supply(s)
-    }
-    fn writeback_on_evict(&self, s: LineState) -> bool {
-        match self.writeback {
-            Some(f) => f(&self.base, s),
-            None => self.base.writeback_on_evict(s),
-        }
-    }
-    fn broadcasts_write_data(&self) -> bool {
-        self.base.broadcasts_write_data()
-    }
-    fn uses_bus_invalidate(&self) -> bool {
-        self.base.uses_bus_invalidate()
-    }
-}
+const SNOOP_READ: TableInput = TableInput::Snoop(SnoopKind::Read);
+const SNOOP_LOCKED_READ: TableInput = TableInput::Snoop(SnoopKind::LockedRead);
+const SNOOP_WRITE: TableInput = TableInput::Snoop(SnoopKind::Write);
 
 /// Asserts a mutant is caught *and* produces a well-formed witness: a
 /// non-empty shortest event trace ending in the named invariant, whose
@@ -122,7 +78,7 @@ fn assert_caught(report: &ProductReport, invariant: Invariant) -> usize {
 
 #[test]
 fn healthy_rb_passes() {
-    let report = ProductChecker::from_protocol(Box::new(Rb::new()), false, 3).explore();
+    let report = ProductChecker::from_protocol(ProtocolKind::Rb.build(), false, 3).explore();
     assert!(report.holds(), "{:?}", report.violations);
     assert!(report.witness.is_none());
 }
@@ -131,15 +87,12 @@ fn healthy_rb_passes() {
 fn missing_invalidate_is_caught() {
     // THE BUG: a readable holder ignores foreign writes, keeping a stale
     // copy readable.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-no-invalidate");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 3).explore();
+    let m = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-no-invalidate",
+        &[(Readable, SNOOP_WRITE, to(Readable, false))],
+    );
+    let report = ProductChecker::from_protocol(m, false, 3).explore();
     assert!(
         report.violations.iter().any(|v| v.contains("stale")),
         "violations: {:?}",
@@ -154,9 +107,16 @@ fn missing_invalidate_is_caught() {
 fn missing_writeback_is_caught() {
     // THE BUG: Local lines are dropped without flushing, losing the
     // latest value.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-no-writeback");
-    m.writeback = Some(|_base, _state| false);
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let m = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-no-writeback",
+        &[(
+            Local,
+            TableInput::Evict,
+            Some(Effect::Evict { writeback: false }),
+        )],
+    );
+    let report = ProductChecker::from_protocol(m, false, 2).explore();
     assert!(
         report.violations.iter().any(|v| v.contains("stale memory")),
         "violations: {:?}",
@@ -169,17 +129,18 @@ fn missing_writeback_is_caught() {
 fn missing_supply_is_caught() {
     // THE BUG: the owner never interrupts foreign reads, so they are
     // served from stale memory.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-no-supply");
-    m.supplies = Some(|_base, _state| false);
-    m.snoop = Some(|base, state, event| {
-        if state == Local && matches!(event, SnoopEvent::Read(_) | SnoopEvent::LockedRead(_)) {
-            // Pretend memory served the read; keep the Local copy.
-            SnoopOutcome::unchanged(Local)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    // Memory serves the read as if the owner were absent; the Local
+    // copy is kept.
+    let m = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-no-supply",
+        &[
+            (Local, TableInput::Supply, None),
+            (Local, SNOOP_READ, to(Local, false)),
+            (Local, SNOOP_LOCKED_READ, to(Local, false)),
+        ],
+    );
+    let report = ProductChecker::from_protocol(m, false, 2).explore();
     // The owner keeps L while the reader installs R — the configuration
     // breaks one event before the stale memory would be served.
     assert_caught(&report, Invariant::IllegalConfiguration);
@@ -189,15 +150,12 @@ fn missing_supply_is_caught() {
 fn double_owner_is_caught_as_illegal_configuration() {
     // THE BUG: a Local holder survives a foreign write as Local,
     // creating two owners (violating the lemma's configuration claim).
-    let mut m = Mutant::of(Rb::new(), "RB-broken-double-owner");
-    m.snoop = Some(|base, state, event| {
-        if state == Local && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Local)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let m = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-double-owner",
+        &[(Local, SNOOP_WRITE, to(Local, false))],
+    );
+    let report = ProductChecker::from_protocol(m, false, 2).explore();
     assert!(
         report
             .violations
@@ -218,15 +176,16 @@ fn rwb_skipping_the_bus_invalidate_is_caught() {
     // THE BUG: the threshold write that should broadcast BI instead
     // completes silently in the cache — other caches keep readable
     // copies while the writer privately owns the line.
-    let mut m = Mutant::of(Rwb::new(), "RWB-broken-skip-bi");
-    m.cpu_write = Some(|base, state| {
-        if matches!(state, Some(FirstWrite(_))) {
-            CpuOutcome::Hit { next: Local }
-        } else {
-            base.cpu_write(state)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), true, 3).explore();
+    let m = mutant(
+        ProtocolKind::Rwb,
+        "RWB-broken-skip-bi",
+        &[(
+            FirstWrite(1),
+            TableInput::CpuWrite,
+            Some(Effect::Hit { next: Local }),
+        )],
+    );
+    let report = ProductChecker::from_protocol(m, true, 3).explore();
     let depth = assert_caught(&report, Invariant::IllegalConfiguration);
     // Shortest trace: P_a write (F1), P_b read (R), P_a write (silent L).
     assert_eq!(depth, 3, "witness:\n{}", report.witness.as_ref().unwrap());
@@ -236,15 +195,15 @@ fn rwb_skipping_the_bus_invalidate_is_caught() {
 fn rb_installing_local_on_snooped_read_is_caught() {
     // THE BUG: a readable holder "upgrades" to Local when it snoops a
     // foreign read broadcast — a reader manufactures ownership.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-snoop-read-local");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Read(_) | SnoopEvent::LockedRead(_)) {
-            SnoopOutcome::capture(Local)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let m = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-snoop-read-local",
+        &[
+            (Readable, SNOOP_READ, to(Local, true)),
+            (Readable, SNOOP_LOCKED_READ, to(Local, true)),
+        ],
+    );
+    let report = ProductChecker::from_protocol(m, false, 2).explore();
     let depth = assert_caught(&report, Invariant::IllegalConfiguration);
     // Shortest trace: P_a read (R), P_b read (R + bogus L).
     assert_eq!(depth, 2, "witness:\n{}", report.witness.as_ref().unwrap());
@@ -256,15 +215,12 @@ fn rwb_dropping_the_write_broadcast_capture_is_caught() {
     // capture the broadcast data, keeping a stale copy readable — the
     // defining RWB behaviour ("the caches also note the data part of
     // the bus writes", Section 5), silently disabled.
-    let mut m = Mutant::of(Rwb::new(), "RWB-broken-no-capture");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), true, 2).explore();
+    let m = mutant(
+        ProtocolKind::Rwb,
+        "RWB-broken-no-capture",
+        &[(Readable, SNOOP_WRITE, to(Readable, false))],
+    );
+    let report = ProductChecker::from_protocol(m, true, 2).explore();
     let depth = assert_caught(&report, Invariant::StaleReadableCopy);
     // Shortest trace: P_a read (R), P_b write (BW leaves the stale R).
     assert_eq!(depth, 2, "witness:\n{}", report.witness.as_ref().unwrap());
@@ -275,15 +231,16 @@ fn rb_ignoring_the_unlock_write_is_caught() {
     // THE BUG: readable holders treat a foreign unlocking write (a
     // successful Test-and-Set's second half) as harmless, surviving the
     // transition to the local configuration.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-stale-unlock");
-    m.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::UnlockWrite(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    let m = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-stale-unlock",
+        &[(
+            Readable,
+            TableInput::Snoop(SnoopKind::UnlockWrite),
+            to(Readable, false),
+        )],
+    );
+    let report = ProductChecker::from_protocol(m, false, 2).explore();
     let depth = assert_caught(&report, Invariant::IllegalConfiguration);
     assert!(
         depth <= 3,
@@ -297,16 +254,18 @@ fn rb_faking_the_supply_refresh_is_caught_serving_stale_memory() {
     // THE BUG: the owner stops interrupting foreign reads but demotes
     // itself as if the broadcast had refreshed everyone — so the read
     // is served from memory that was never made current.
-    let mut m = Mutant::of(Rb::new(), "RB-broken-ghost-supply");
-    m.supplies = Some(|_base, _state| false);
-    m.snoop = Some(|base, state, event| {
-        if state == Local && matches!(event, SnoopEvent::Read(_) | SnoopEvent::LockedRead(_)) {
-            SnoopOutcome::capture(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
-    let report = ProductChecker::from_protocol(Box::new(m), false, 2).explore();
+    // Without the supply rule the owner falls through to its snoop
+    // rows, which already demote L to a captured R.
+    let m = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-ghost-supply",
+        &[
+            (Local, TableInput::Supply, None),
+            (Local, SNOOP_READ, to(Readable, true)),
+            (Local, SNOOP_LOCKED_READ, to(Readable, true)),
+        ],
+    );
+    let report = ProductChecker::from_protocol(m, false, 2).explore();
     let depth = assert_caught(&report, Invariant::StaleMemoryServed);
     // Shortest trace: P_a write (L, memory current), P_a write again
     // (silent hit, memory now stale), P_b read served from memory.
@@ -315,23 +274,24 @@ fn rb_faking_the_supply_refresh_is_caught_serving_stale_memory() {
 
 #[test]
 fn mutants_actually_differ_from_healthy() {
-    let healthy = Rb::new();
+    let healthy = ProtocolKind::Rb.build();
     let e = SnoopEvent::Write(decache_mem::Word::ONE);
-    let mut no_invalidate = Mutant::of(Rb::new(), "RB-broken-no-invalidate");
-    no_invalidate.snoop = Some(|base, state, event| {
-        if state == Readable && matches!(event, SnoopEvent::Write(_)) {
-            SnoopOutcome::unchanged(Readable)
-        } else {
-            base.snoop(state, event)
-        }
-    });
+    let no_invalidate = mutant(
+        ProtocolKind::Rb,
+        "RB-broken-no-invalidate",
+        &[(Readable, SNOOP_WRITE, to(Readable, false))],
+    );
     assert_ne!(healthy.snoop(Readable, e), no_invalidate.snoop(Readable, e));
-    // Un-overridden behaviour forwards to the base unchanged.
+    // Unedited rules are the healthy table's.
     assert_eq!(healthy.snoop(Local, e), no_invalidate.snoop(Local, e));
     assert!(no_invalidate.supplies_on_snoop_read(Local));
     assert!(no_invalidate.writeback_on_evict(Local));
     assert!(!no_invalidate.uses_bus_invalidate());
-    let rwb_mutant = Mutant::of(Rwb::new(), "RWB-identity");
-    assert!(rwb_mutant.uses_bus_invalidate());
-    assert!(rwb_mutant.broadcasts_write_data());
+    let rwb_identity = mutant(ProtocolKind::Rwb, "RWB-identity", &[]);
+    assert!(rwb_identity.uses_bus_invalidate());
+    assert!(rwb_identity.broadcasts_write_data());
+    assert_eq!(
+        rwb_identity.table().rules,
+        ir::table(ProtocolKind::Rwb).rules
+    );
 }

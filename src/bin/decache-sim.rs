@@ -8,7 +8,7 @@
 //!             [--pes N] [--buses B] [--ops N] [--cache-lines N]
 //! ```
 
-use decache::core::ProtocolKind;
+use decache::core::{ir, ProtocolKind};
 use decache::machine::MachineBuilder;
 use decache::mem::{Addr, AddrRange};
 use decache::sync::{BarrierWorker, LockWorker, Primitive};
@@ -56,10 +56,14 @@ fn parse_protocol(raw: &str) -> Result<ProtocolKind, String> {
         "mesi" => Ok(ProtocolKind::Mesi),
         other => {
             if let Some(k) = other.strip_prefix("rwb:") {
-                let k: u8 = k
-                    .parse()
-                    .map_err(|_| format!("bad rwb threshold: {other}"))?;
-                Ok(ProtocolKind::RwbThreshold(k))
+                match k.parse::<u8>() {
+                    Ok(k) if ir::RWB_THRESHOLDS.contains(&k) => Ok(ProtocolKind::RwbThreshold(k)),
+                    _ => Err(format!(
+                        "bad rwb threshold: {other} (k must be in {}..={})",
+                        ir::RWB_THRESHOLDS.start(),
+                        ir::RWB_THRESHOLDS.end()
+                    )),
+                }
             } else {
                 Err(format!("unknown protocol: {other}"))
             }
@@ -245,6 +249,18 @@ mod tests {
         assert_eq!(parse_protocol("mesi").unwrap(), ProtocolKind::Mesi);
         assert!(parse_protocol("moesi").is_err());
         assert!(parse_protocol("rwb:x").is_err());
+        assert_eq!(
+            parse_protocol("rwb:1").unwrap(),
+            ProtocolKind::RwbThreshold(1)
+        );
+        assert_eq!(
+            parse_protocol("rwb:8").unwrap(),
+            ProtocolKind::RwbThreshold(8)
+        );
+        for out_of_range in ["rwb:0", "rwb:9"] {
+            let err = parse_protocol(out_of_range).unwrap_err();
+            assert!(err.starts_with("bad rwb threshold"), "{err}");
+        }
     }
 
     #[test]

@@ -538,6 +538,47 @@ fn restore_validates_version_protocol_and_shape() {
     );
 }
 
+/// A line state outside the protocol's vocabulary — a hand-edited or
+/// corrupted checkpoint — is rejected before anything is restored: the
+/// machine returns [`RestoreError::Component`] instead of panicking in
+/// the protocol, and is left exactly as built.
+#[test]
+fn restore_rejects_foreign_line_states() {
+    for (kind, file, from, foreign) in [
+        (ProtocolKind::Rb, "checkpoint_rb_2pe.json", "L", "D"),
+        (ProtocolKind::Rb, "checkpoint_rb_2pe.json", "L", "V"),
+        (ProtocolKind::Rwb, "checkpoint_rwb_2pe.json", "F1", "F0"),
+        (ProtocolKind::Rwb, "checkpoint_rwb_2pe.json", "F1", "F9"),
+    ] {
+        let text = std::fs::read_to_string(golden_path(file)).expect("reading the golden");
+        let edited = text.replacen(
+            &format!("\"state\":\"{from}\""),
+            &format!("\"state\":\"{foreign}\""),
+            1,
+        );
+        assert_ne!(edited, text, "{file} has no {from} line to edit");
+        let json = Json::parse(&edited).expect("the edit keeps the JSON well-formed");
+        let ck = checkpoint_from_json(&json).expect("the codec accepts any state letter");
+
+        let mut machine = golden_machine(kind);
+        let err = machine
+            .restore(&ck)
+            .expect_err("a foreign line state must be rejected");
+        assert!(
+            matches!(&err, RestoreError::Component { what, .. } if what.starts_with('P')),
+            "{file} with {foreign}: got {err:?}"
+        );
+        let cycles = machine.run_to_completion(10_000);
+        let mut fresh = golden_machine(kind);
+        let fresh_cycles = fresh.run_to_completion(10_000);
+        assert_eq!(
+            dump(&machine, cycles),
+            dump(&fresh, fresh_cycles),
+            "a rejected restore must not touch the machine"
+        );
+    }
+}
+
 /// A closure processor cannot export its state; [`Machine::checkpoint`]
 /// fails with a structured error naming the offending PE instead of
 /// silently dropping it.

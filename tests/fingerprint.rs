@@ -456,10 +456,10 @@ fn telemetry_is_invisible_to_fingerprints() {
     }
 }
 
-/// The table-driven MESI — executed by the generic rule interpreter
-/// from pure IR data — is deterministic across the full scenario grid,
-/// pinned by its own golden table so interpreter work cannot silently
-/// change a MESI statistic.
+/// The table-driven MESI — with its guarded read-miss fill — is
+/// deterministic across the full scenario grid, pinned by its own
+/// golden table so table-lowering work cannot silently change a MESI
+/// statistic.
 #[test]
 fn mesi_fingerprints_match_seeded_goldens() {
     let print_mode = std::env::var("DECACHE_FINGERPRINT_PRINT").is_ok();
