@@ -25,7 +25,7 @@
 
 use decache_analysis::QueueingModel;
 use decache_bench::banner;
-use decache_bus::ServiceDiscipline;
+use decache_bus::{ServiceDiscipline, TrafficStats};
 use decache_core::ProtocolKind;
 use decache_machine::{MachineBuilder, MemOp, OpResult, Poll, Processor};
 use decache_mem::Addr;
@@ -123,7 +123,7 @@ fn run_cell(
     let sim_util = snap
         .bus_per_bus
         .iter()
-        .map(decache_telemetry::BusCounts::utilization)
+        .map(TrafficStats::utilization)
         .sum::<f64>()
         / buses as f64;
     let hist = &snap

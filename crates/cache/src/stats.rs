@@ -61,10 +61,11 @@ impl fmt::Display for RefClass {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    // Indexed [kind][class]: kind 0 = read, 1 = write; class 0 = code,
-    // 1 = local, 2 = shared.
-    hits: [[u64; 3]; 2],
-    misses: [[u64; 3]; 2],
+    /// Hits, indexed `[kind][class]`: kind 0 = read, 1 = write; class
+    /// in [`RefClass::ALL`] order (0 = code, 1 = local, 2 = shared).
+    pub hits: [[u64; 3]; 2],
+    /// Misses, same indexing.
+    pub misses: [[u64; 3]; 2],
 }
 
 impl CacheStats {
@@ -124,9 +125,14 @@ impl CacheStats {
         self.misses.iter().flatten().sum()
     }
 
-    /// Returns total misses of one access kind across all classes.
-    pub fn misses_by_kind(&self, kind: AccessKind) -> u64 {
-        self.misses[Self::kind_slot(kind)].iter().sum()
+    /// Returns read misses across all classes.
+    pub fn read_misses(&self) -> u64 {
+        self.misses[0].iter().sum()
+    }
+
+    /// Returns write misses across all classes.
+    pub fn write_misses(&self) -> u64 {
+        self.misses[1].iter().sum()
     }
 
     /// The overall hit ratio `h` in `[0, 1]`; 0 for no references.
@@ -151,19 +157,6 @@ impl CacheStats {
         } else {
             self.total_misses() as f64 / total as f64
         }
-    }
-
-    /// Exports the raw counter tables `(hits, misses)`, indexed
-    /// `[kind][class]` in [`RefClass::ALL`] order — the checkpoint
-    /// form.
-    pub fn checkpoint_state(&self) -> ([[u64; 3]; 2], [[u64; 3]; 2]) {
-        (self.hits, self.misses)
-    }
-
-    /// Reconstructs counters from tables exported by
-    /// [`CacheStats::checkpoint_state`].
-    pub fn from_checkpoint(hits: [[u64; 3]; 2], misses: [[u64; 3]; 2]) -> Self {
-        CacheStats { hits, misses }
     }
 
     /// The fraction of *all* references that are misses of the given
@@ -204,8 +197,8 @@ impl fmt::Display for CacheStats {
             "refs={} hit_ratio={:.1}% (read misses={}, write misses={})",
             self.total_references(),
             self.hit_ratio() * 100.0,
-            self.misses_by_kind(AccessKind::Read),
-            self.misses_by_kind(AccessKind::Write),
+            self.read_misses(),
+            self.write_misses(),
         )
     }
 }

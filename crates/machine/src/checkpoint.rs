@@ -20,17 +20,20 @@
 //! restored machine starts with whatever trace/observer configuration
 //! it was built with.
 //!
-//! The checkpoint struct is plain public data so the `decache-telemetry`
-//! crate can serialize it through the workspace's canonical JSON codec
-//! without this crate growing a serializer dependency.
+//! The checkpoint holds the machine's own statistics types
+//! ([`CacheStats`], [`TrafficStats`], [`MachineStats`], [`FaultStats`],
+//! [`CycleHistograms`]) as they are, plus public forms of the
+//! crate-private run state. The `decache-telemetry` crate serializes it
+//! through the workspace's canonical JSON codec, so this crate needs no
+//! serializer dependency.
 
 use super::Machine;
 use crate::processor::ProcessorCheckpoint;
 use crate::sharers::{AddrPeIndex, PeMask};
 use crate::status::{PeStatus, Pending};
-use crate::telemetry::{CycleHistograms, Histogram};
+use crate::telemetry::CycleHistograms;
 use crate::{FaultStats, MachineStats, OpResult};
-use decache_bus::{ArbiterCheckpoint, BusTransaction, QueueState, TrafficStats};
+use decache_bus::{ArbiterCheckpoint, BusQueue, QueueState, TrafficStats};
 use decache_cache::{CacheStats, RefClass, TagStoreCheckpoint};
 use decache_core::LineState;
 use decache_mem::{Addr, MemoryStats, PeId, Word};
@@ -41,30 +44,6 @@ use std::fmt;
 /// The checkpoint format version; bumped on any layout change so stale
 /// files are rejected with a structured error instead of misread.
 pub const CHECKPOINT_VERSION: u32 = 3;
-
-/// The canonical field order of [`MachineCheckpoint::fault_stats`]:
-/// `fault_stats[i]` is the counter named `FAULT_STAT_FIELDS[i]`. Kept
-/// as a flat array because [`FaultStats`] is `#[non_exhaustive]` and
-/// so cannot be constructed outside this crate.
-pub const FAULT_STAT_FIELDS: [&str; 17] = [
-    "memory_faults_injected",
-    "cache_faults_injected",
-    "bus_transactions_lost",
-    "pe_fail_stops",
-    "memory_faults_detected",
-    "cache_faults_detected",
-    "memory_recoveries_owner",
-    "memory_recoveries_majority",
-    "memory_recoveries_failed",
-    "cache_refetches",
-    "broadcast_heals",
-    "lost_writes",
-    "drained_lines",
-    "forced_unlocks",
-    "recovery_latency_total",
-    "recovery_latency_samples",
-    "replicas_at_recovery",
-];
 
 /// The shared memory's state: words, locks, parity marks, counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,15 +56,6 @@ pub struct MemoryCheckpoint {
     pub bad_parity: Vec<u64>,
     /// The memory's access counters.
     pub stats: MemoryStats,
-}
-
-/// One PE's hit/miss counters in raw `[kind][class]` form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStatsCheckpoint {
-    /// Hits, indexed `[read|write][code|local|shared]`.
-    pub hits: [[u64; 3]; 2],
-    /// Misses, same indexing.
-    pub misses: [[u64; 3]; 2],
 }
 
 /// A stalled PE's pending bus transaction, in public form (the
@@ -141,41 +111,6 @@ pub enum StatusCheckpoint {
     Failed,
 }
 
-/// Every lane of one bus queue. The discipline-specific lanes
-/// (`arrival`, `batch`, `in_flight`) are empty unless the machine runs
-/// the matching [`ServiceDiscipline`](decache_bus::ServiceDiscipline).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueueCheckpoint {
-    /// The priority retry lane, in FIFO order.
-    pub retry: Vec<BusTransaction>,
-    /// The pending lane, in ascending PE order.
-    pub pending: Vec<BusTransaction>,
-    /// FCFS request-arrival order over the pending lane's PEs.
-    pub arrival: Vec<PeId>,
-    /// The unserved remainder of the current batch, in service order.
-    pub batch: Vec<PeId>,
-    /// Split-transaction address phases awaiting their data phase, as
-    /// `(transaction, ready_cycle)` in ascending ready order.
-    pub in_flight: Vec<(BusTransaction, u64)>,
-}
-
-/// One bus's traffic counters in raw form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficCheckpoint {
-    /// Per-kind transaction counts in `BusOpKind::ALL` order.
-    pub counts: [u64; 5],
-    /// Interrupted (killed) bus reads.
-    pub aborted_reads: u64,
-    /// Retry-lane services.
-    pub retries: u64,
-    /// Busy bus cycles.
-    pub busy_cycles: u64,
-    /// Idle bus cycles.
-    pub idle_cycles: u64,
-    /// Split-transaction address phases.
-    pub address_phases: u64,
-}
-
 /// The fault engine's mutable state. The plan itself (rates, schedule,
 /// region, seed) is build-time configuration and travels with the
 /// machine builder, not the checkpoint.
@@ -201,52 +136,12 @@ pub struct FaultClockEntry {
     pub injected_at: u64,
 }
 
-/// One latency histogram in raw form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramCheckpoint {
-    /// The 65 per-bucket counts.
-    pub buckets: Vec<u64>,
-    /// Total samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Largest sample.
-    pub max: u64,
-}
-
-impl HistogramCheckpoint {
-    fn capture(h: &Histogram) -> Self {
-        let (buckets, count, sum, max) = h.checkpoint_state();
-        HistogramCheckpoint {
-            buckets,
-            count,
-            sum,
-            max,
-        }
-    }
-
-    fn rebuild(&self, what: &str) -> Result<Histogram, RestoreError> {
-        Histogram::from_checkpoint(&self.buckets, self.count, self.sum, self.max).map_err(
-            |detail| RestoreError::Component {
-                what: what.to_string(),
-                detail,
-            },
-        )
-    }
-}
-
 /// The telemetry recorder's state: the four histograms plus the per-PE
 /// start-cycle scratchpads the hooks sample against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryCheckpoint {
-    /// Arbitration-wait histogram.
-    pub bus_acquire_wait: HistogramCheckpoint,
-    /// Memory-service histogram.
-    pub memory_service: HistogramCheckpoint,
-    /// Read-miss-fill histogram.
-    pub read_fill: HistogramCheckpoint,
-    /// Test-and-Set spin histogram.
-    pub ts_spin: HistogramCheckpoint,
+    /// The four cycle-attribution histograms.
+    pub histograms: CycleHistograms,
     /// Cycle each PE's transaction last entered a bus queue.
     pub enqueued_at: Vec<u64>,
     /// Cycle each PE's pending plain read missed.
@@ -290,27 +185,27 @@ pub struct MachineCheckpoint {
     /// Every PE's tag store, in PE order.
     pub caches: Vec<TagStoreCheckpoint<LineState>>,
     /// Every PE's hit/miss counters.
-    pub cache_stats: Vec<CacheStatsCheckpoint>,
+    pub cache_stats: Vec<CacheStats>,
     /// Every PE's execution status.
     pub statuses: Vec<StatusCheckpoint>,
     /// Every PE's last completed-operation result awaiting delivery.
     pub last_results: Vec<Option<OpResult>>,
     /// Every PE's program position.
     pub processors: Vec<ProcessorCheckpoint>,
-    /// Every bus queue's two lanes.
-    pub queues: Vec<QueueCheckpoint>,
+    /// Every bus queue's lanes.
+    pub queues: Vec<QueueState>,
     /// Every bus arbiter's fairness state.
     pub arbiters: Vec<ArbiterCheckpoint>,
     /// Every bus's traffic counters.
-    pub traffic: Vec<TrafficCheckpoint>,
+    pub traffic: Vec<TrafficStats>,
     /// Per-bus cycle until which the bus is still occupied.
     pub bus_free_at: Vec<u64>,
     /// Machine-level counters.
     pub stats: MachineStats,
     /// The fault engine's state; `None` when the machine has no plan.
     pub fault: Option<FaultEngineCheckpoint>,
-    /// Fault counters in [`FAULT_STAT_FIELDS`] order.
-    pub fault_stats: [u64; 17],
+    /// Fault counters.
+    pub fault_stats: FaultStats,
     /// The detection-latency ledger, sorted by `(pe, addr)`.
     pub fault_clock: Vec<FaultClockEntry>,
     /// Per-PE cycle of the most recent completed operation.
@@ -488,50 +383,6 @@ fn rebuild_pending(p: PendingCheckpoint) -> Pending {
     }
 }
 
-fn capture_fault_stats(s: &FaultStats) -> [u64; 17] {
-    [
-        s.memory_faults_injected,
-        s.cache_faults_injected,
-        s.bus_transactions_lost,
-        s.pe_fail_stops,
-        s.memory_faults_detected,
-        s.cache_faults_detected,
-        s.memory_recoveries_owner,
-        s.memory_recoveries_majority,
-        s.memory_recoveries_failed,
-        s.cache_refetches,
-        s.broadcast_heals,
-        s.lost_writes,
-        s.drained_lines,
-        s.forced_unlocks,
-        s.recovery_latency_total,
-        s.recovery_latency_samples,
-        s.replicas_at_recovery,
-    ]
-}
-
-fn rebuild_fault_stats(v: [u64; 17]) -> FaultStats {
-    FaultStats {
-        memory_faults_injected: v[0],
-        cache_faults_injected: v[1],
-        bus_transactions_lost: v[2],
-        pe_fail_stops: v[3],
-        memory_faults_detected: v[4],
-        cache_faults_detected: v[5],
-        memory_recoveries_owner: v[6],
-        memory_recoveries_majority: v[7],
-        memory_recoveries_failed: v[8],
-        cache_refetches: v[9],
-        broadcast_heals: v[10],
-        lost_writes: v[11],
-        drained_lines: v[12],
-        forced_unlocks: v[13],
-        recovery_latency_total: v[14],
-        recovery_latency_samples: v[15],
-        replicas_at_recovery: v[16],
-    }
-}
-
 impl Machine {
     /// Exports the machine's complete run state as a versioned
     /// [`MachineCheckpoint`].
@@ -596,14 +447,7 @@ impl Machine {
                 .iter()
                 .map(decache_cache::TagStore::checkpoint_state)
                 .collect(),
-            cache_stats: self
-                .cache_stats
-                .iter()
-                .map(|s| {
-                    let (hits, misses) = s.checkpoint_state();
-                    CacheStatsCheckpoint { hits, misses }
-                })
-                .collect(),
+            cache_stats: self.cache_stats.clone(),
             statuses: self
                 .statuses
                 .iter()
@@ -616,34 +460,9 @@ impl Machine {
                 .collect(),
             last_results: self.last_results.clone(),
             processors,
-            queues: self
-                .queues
-                .iter()
-                .map(|q| {
-                    let s = q.checkpoint_state();
-                    QueueCheckpoint {
-                        retry: s.retry,
-                        pending: s.pending,
-                        arrival: s.arrival,
-                        batch: s.batch,
-                        in_flight: s.in_flight,
-                    }
-                })
-                .collect(),
+            queues: self.queues.iter().map(BusQueue::checkpoint_state).collect(),
             arbiters,
-            traffic: (0..buses)
-                .map(|b| {
-                    let t = self.traffic.bus(b);
-                    TrafficCheckpoint {
-                        counts: t.checkpoint_counts(),
-                        aborted_reads: t.aborted_reads,
-                        retries: t.retries,
-                        busy_cycles: t.busy_cycles,
-                        idle_cycles: t.idle_cycles,
-                        address_phases: t.address_phases,
-                    }
-                })
-                .collect(),
+            traffic: (0..buses).map(|b| *self.traffic.bus(b)).collect(),
             bus_free_at: self.bus_free_at.clone(),
             stats: self.stats,
             fault: self.faults.as_ref().map(|e| FaultEngineCheckpoint {
@@ -651,15 +470,12 @@ impl Machine {
                 cursor: e.cursor as u64,
                 lose_grant: e.lose_grant.clone(),
             }),
-            fault_stats: capture_fault_stats(&self.fault_stats),
+            fault_stats: self.fault_stats,
             fault_clock,
             last_progress: self.last_progress.clone(),
             last_addr: self.last_addr.clone(),
             telemetry: self.telemetry.as_deref().map(|t| TelemetryCheckpoint {
-                bus_acquire_wait: HistogramCheckpoint::capture(&t.hist.bus_acquire_wait),
-                memory_service: HistogramCheckpoint::capture(&t.hist.memory_service),
-                read_fill: HistogramCheckpoint::capture(&t.hist.read_fill),
-                ts_spin: HistogramCheckpoint::capture(&t.hist.ts_spin),
+                histograms: t.hist.clone(),
                 enqueued_at: t.enqueued_at.clone(),
                 read_since: t.read_since.clone(),
                 ts_since: t.ts_since.clone(),
@@ -670,8 +486,9 @@ impl Machine {
     /// Validates that `ck` matches this machine's build-time shape
     /// without mutating anything: format version, protocol, geometry,
     /// PE/bus/memory dimensions, fault-plan and telemetry presence,
-    /// per-PE and per-bus vector lengths, RNG-state sanity, and that
-    /// every cached line is in one of the protocol's declared states.
+    /// per-PE and per-bus vector lengths, RNG-state sanity, that every
+    /// cached line is in one of the protocol's declared states, and
+    /// that every cached line and pending transaction addresses memory.
     fn validate_checkpoint(&self, ck: &MachineCheckpoint) -> Result<(), RestoreError> {
         if ck.version != CHECKPOINT_VERSION {
             return Err(RestoreError::Version {
@@ -763,17 +580,41 @@ impl Machine {
             }
         }
 
+        // Addresses index the per-address sharer and pending-reader
+        // sets, so one beyond memory must not reach them.
+        let words = self.memory.size();
         let states = self.protocol.states();
         for (pe, cache) in ck.caches.iter().enumerate() {
             check_rng(&format!("P{pe} cache RNG"), cache.rng_state)?;
-            let mut held = cache.lines.iter().filter_map(|line| line.state);
-            if let Some(state) = held.find(|s| !states.contains(s)) {
-                return Err(component(
-                    format!("P{pe} cache"),
+            for line in &cache.lines {
+                let Some(state) = line.state else { continue };
+                let detail = if !states.contains(&state) {
                     format!(
                         "line state {state:?} is not a {} state",
                         self.protocol.name()
-                    ),
+                    )
+                } else if line.addr.index() >= words {
+                    format!("line address {} beyond {words} memory words", line.addr)
+                } else {
+                    continue;
+                };
+                return Err(component(format!("P{pe} cache"), detail));
+            }
+        }
+        for (pe, status) in ck.statuses.iter().enumerate() {
+            let StatusCheckpoint::WaitBus(
+                PendingCheckpoint::Read { addr, .. }
+                | PendingCheckpoint::Write { addr, .. }
+                | PendingCheckpoint::LockedRead { addr, .. }
+                | PendingCheckpoint::UnlockWrite { addr, .. },
+            ) = status
+            else {
+                continue;
+            };
+            if addr.index() >= words {
+                return Err(component(
+                    format!("P{pe} status"),
+                    format!("pending address {addr} beyond {words} memory words"),
                 ));
             }
         }
@@ -817,8 +658,6 @@ impl Machine {
             self.caches[pe]
                 .restore_state(ck.caches[pe].clone())
                 .map_err(|e| component(format!("P{pe} cache"), e))?;
-            self.cache_stats[pe] =
-                CacheStats::from_checkpoint(ck.cache_stats[pe].hits, ck.cache_stats[pe].misses);
             self.processors[pe]
                 .restore_state(&ck.processors[pe])
                 .map_err(|e| component(format!("P{pe} processor"), e))?;
@@ -829,33 +668,19 @@ impl Machine {
                 StatusCheckpoint::Failed => PeStatus::Failed,
             };
         }
+        self.cache_stats.clone_from(&ck.cache_stats);
         self.last_results.clone_from(&ck.last_results);
         self.last_progress.clone_from(&ck.last_progress);
         self.last_addr.clone_from(&ck.last_addr);
 
         for bus in 0..buses {
-            let q = &ck.queues[bus];
             self.queues[bus]
-                .restore_state(QueueState {
-                    retry: q.retry.clone(),
-                    pending: q.pending.clone(),
-                    arrival: q.arrival.clone(),
-                    batch: q.batch.clone(),
-                    in_flight: q.in_flight.clone(),
-                })
+                .restore_state(ck.queues[bus].clone())
                 .map_err(|e| component(format!("bus {bus} queue"), e))?;
             self.arbiters[bus]
                 .restore_state(&ck.arbiters[bus])
                 .map_err(|e| component(format!("bus {bus} arbiter"), e))?;
-            let t = ck.traffic[bus];
-            *self.traffic.bus_mut(bus) = TrafficStats::from_checkpoint(
-                t.counts,
-                t.aborted_reads,
-                t.retries,
-                t.busy_cycles,
-                t.idle_cycles,
-                t.address_phases,
-            );
+            *self.traffic.bus_mut(bus) = ck.traffic[bus];
         }
         self.bus_free_at.clone_from(&ck.bus_free_at);
         self.stats = ck.stats;
@@ -866,7 +691,7 @@ impl Machine {
             engine.cursor = f.cursor as usize;
             engine.lose_grant.clone_from(&f.lose_grant);
         }
-        self.fault_stats = rebuild_fault_stats(ck.fault_stats);
+        self.fault_stats = ck.fault_stats;
         self.fault_clock = ck
             .fault_clock
             .iter()
@@ -874,12 +699,7 @@ impl Machine {
             .collect();
 
         if let (Some(t), Some(state)) = (&ck.telemetry, self.telemetry.as_deref_mut()) {
-            state.hist = CycleHistograms {
-                bus_acquire_wait: t.bus_acquire_wait.rebuild("bus-acquire histogram")?,
-                memory_service: t.memory_service.rebuild("memory-service histogram")?,
-                read_fill: t.read_fill.rebuild("read-fill histogram")?,
-                ts_spin: t.ts_spin.rebuild("TS-spin histogram")?,
-            };
+            state.hist.clone_from(&t.histograms);
             state.enqueued_at.clone_from(&t.enqueued_at);
             state.read_since.clone_from(&t.read_since);
             state.ts_since.clone_from(&t.ts_since);

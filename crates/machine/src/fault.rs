@@ -22,6 +22,7 @@ use decache_mem::{Addr, AddrRange, MemError};
 use decache_rng::Rng;
 use std::error::Error;
 use std::fmt;
+use std::ops::AddAssign;
 
 /// One kind of injected fault, as carried on
 /// [`Observation::FaultInjected`](crate::Observation::FaultInjected)
@@ -385,9 +386,10 @@ impl FaultEngine {
 /// [`MachineStats`](crate::MachineStats) — a faultless machine reports
 /// all zeroes and its golden statistics are untouched.
 ///
-/// Read via [`Machine::fault_stats`](crate::Machine::fault_stats).
+/// Read via [`Machine::fault_stats`](crate::Machine::fault_stats). This
+/// one type is also what metrics snapshots carry and checkpoints
+/// restore; runs merge with `+=`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[non_exhaustive]
 pub struct FaultStats {
     /// Memory word flips injected.
     pub memory_faults_injected: u64,
@@ -470,6 +472,28 @@ impl FaultStats {
     pub fn mean_replicas_at_recovery(&self) -> Option<f64> {
         let attempts = self.memory_recovery_attempts();
         (attempts > 0).then(|| self.replicas_at_recovery as f64 / attempts as f64)
+    }
+}
+
+impl AddAssign for FaultStats {
+    fn add_assign(&mut self, rhs: FaultStats) {
+        self.memory_faults_injected += rhs.memory_faults_injected;
+        self.cache_faults_injected += rhs.cache_faults_injected;
+        self.bus_transactions_lost += rhs.bus_transactions_lost;
+        self.pe_fail_stops += rhs.pe_fail_stops;
+        self.memory_faults_detected += rhs.memory_faults_detected;
+        self.cache_faults_detected += rhs.cache_faults_detected;
+        self.memory_recoveries_owner += rhs.memory_recoveries_owner;
+        self.memory_recoveries_majority += rhs.memory_recoveries_majority;
+        self.memory_recoveries_failed += rhs.memory_recoveries_failed;
+        self.cache_refetches += rhs.cache_refetches;
+        self.broadcast_heals += rhs.broadcast_heals;
+        self.lost_writes += rhs.lost_writes;
+        self.drained_lines += rhs.drained_lines;
+        self.forced_unlocks += rhs.forced_unlocks;
+        self.recovery_latency_total += rhs.recovery_latency_total;
+        self.recovery_latency_samples += rhs.recovery_latency_samples;
+        self.replicas_at_recovery += rhs.replicas_at_recovery;
     }
 }
 
@@ -561,6 +585,21 @@ mod tests {
         assert_eq!(s.memory_recovery_success_rate(), Some(0.5));
         assert_eq!(s.mean_recovery_latency(), Some(10.0));
         assert_eq!(s.mean_replicas_at_recovery(), Some(2.0));
+    }
+
+    #[test]
+    fn add_assign_sums_counters() {
+        let one = FaultStats {
+            pe_fail_stops: 1,
+            lost_writes: 2,
+            replicas_at_recovery: 3,
+            ..FaultStats::default()
+        };
+        let mut sum = one;
+        sum += one;
+        assert_eq!((sum.pe_fail_stops, sum.lost_writes), (2, 4));
+        assert_eq!(sum.replicas_at_recovery, 6);
+        assert_eq!(sum.total_injected(), 2);
     }
 
     #[test]

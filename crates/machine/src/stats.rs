@@ -1,6 +1,7 @@
 //! Machine-level statistics beyond cache and bus counters.
 
 use std::fmt;
+use std::ops::AddAssign;
 
 /// Counters maintained by the machine itself (cache hit/miss statistics
 /// live in [`CacheStats`], bus traffic in [`TrafficStats`]).
@@ -63,6 +64,22 @@ impl MachineStats {
     }
 }
 
+impl AddAssign for MachineStats {
+    fn add_assign(&mut self, rhs: MachineStats) {
+        self.broadcast_satisfied += rhs.broadcast_satisfied;
+        self.writebacks += rhs.writebacks;
+        self.ts_failures += rhs.ts_failures;
+        self.ts_successes += rhs.ts_successes;
+        self.lock_rejections += rhs.lock_rejections;
+        self.lock_rejected_reads += rhs.lock_rejected_reads;
+        self.lock_rejected_writes += rhs.lock_rejected_writes;
+        self.tag_probes += rhs.tag_probes;
+        self.sharer_visits += rhs.sharer_visits;
+        self.queue_scans += rhs.queue_scans;
+        self.split_cancels += rhs.split_cancels;
+    }
+}
+
 impl fmt::Display for MachineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -103,6 +120,41 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.ts_attempts(), 5);
+    }
+
+    #[test]
+    fn add_assign_sums_every_counter() {
+        let one = MachineStats {
+            broadcast_satisfied: 1,
+            writebacks: 2,
+            ts_failures: 3,
+            ts_successes: 4,
+            lock_rejections: 5,
+            lock_rejected_reads: 6,
+            lock_rejected_writes: 7,
+            tag_probes: 8,
+            sharer_visits: 9,
+            queue_scans: 10,
+            split_cancels: 11,
+        };
+        let mut sum = one;
+        sum += one;
+        assert_eq!(
+            sum,
+            MachineStats {
+                broadcast_satisfied: 2,
+                writebacks: 4,
+                ts_failures: 6,
+                ts_successes: 8,
+                lock_rejections: 10,
+                lock_rejected_reads: 12,
+                lock_rejected_writes: 14,
+                tag_probes: 16,
+                sharer_visits: 18,
+                queue_scans: 20,
+                split_cancels: 22,
+            }
+        );
     }
 
     #[test]

@@ -159,21 +159,21 @@ impl Histogram {
             .collect()
     }
 
-    /// Exports the raw per-bucket counts plus the running moments —
-    /// the checkpoint form: `(buckets, count, sum, max)`. Round-trips
-    /// exactly through [`Histogram::from_checkpoint`].
-    pub fn checkpoint_state(&self) -> (Vec<u64>, u64, u64, u64) {
-        (self.buckets.to_vec(), self.count, self.sum, self.max)
+    /// All 65 per-bucket counts, bucket 0 first — with the moments,
+    /// the checkpoint form. Round-trips exactly through
+    /// [`Histogram::from_checkpoint`].
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
     }
 
-    /// Reconstructs a histogram from a [`Histogram::checkpoint_state`]
-    /// export.
+    /// Reconstructs a histogram from its [`Histogram::buckets`] and
+    /// moments.
     ///
     /// # Errors
     ///
     /// Returns an error if `buckets` does not have exactly 65 entries
     /// (the fixed bucket shape), or if `count` disagrees with the
-    /// bucket totals.
+    /// bucket totals (including a total that overflows).
     pub fn from_checkpoint(
         buckets: &[u64],
         count: u64,
@@ -186,8 +186,9 @@ impl Histogram {
                 buckets.len()
             )
         })?;
-        let total: u64 = raw.iter().sum();
-        if total != count {
+        let total = raw.iter().try_fold(0u64, |sum, &b| sum.checked_add(b));
+        if total != Some(count) {
+            let total = total.map_or("overflowing".to_owned(), |t| t.to_string());
             return Err(format!(
                 "histogram count {count} disagrees with bucket total {total}"
             ));
@@ -318,12 +319,15 @@ mod tests {
         for v in [0u64, 1, 5, 5, 1023, u64::MAX] {
             h.record(v);
         }
-        let (buckets, count, sum, max) = h.checkpoint_state();
-        let back = Histogram::from_checkpoint(&buckets, count, sum, max).unwrap();
+        let (buckets, count, sum, max) = (h.buckets(), h.count(), h.sum(), h.max());
+        let back = Histogram::from_checkpoint(buckets, count, sum, max).unwrap();
         assert_eq!(back, h);
         // Shape and consistency violations are structured errors.
         assert!(Histogram::from_checkpoint(&buckets[1..], count, sum, max).is_err());
-        assert!(Histogram::from_checkpoint(&buckets, count + 1, sum, max).is_err());
+        assert!(Histogram::from_checkpoint(buckets, count + 1, sum, max).is_err());
+        let mut overflowing = buckets.to_vec();
+        overflowing[0] = u64::MAX;
+        assert!(Histogram::from_checkpoint(&overflowing, count, sum, max).is_err());
     }
 
     #[test]

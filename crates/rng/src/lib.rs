@@ -285,6 +285,41 @@ pub mod testing {
         hash
     }
 
+    /// Applies one random edit to `bytes` — overwrite, insert or delete
+    /// one byte, or truncate — for fuzzing a parser with [`check`].
+    /// Written bytes favour the structural characters of text formats
+    /// (digits, quotes, brackets, separators), so a mutated document
+    /// often still parses and reaches the code behind the parser.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// decache_rng::testing::check("mutate_example", 8, |rng| {
+    ///     let mut doc = b"{\"a\":[1,2]}".to_vec();
+    ///     decache_rng::testing::mutate_bytes(rng, &mut doc);
+    ///     assert!(doc.len() <= 12);
+    /// });
+    /// ```
+    pub fn mutate_bytes(rng: &mut Rng, bytes: &mut Vec<u8>) {
+        const STRUCTURAL: &[u8] = b"0123456789\"{}[],:-.eEnul\\ ";
+        let byte = |rng: &mut Rng| {
+            if rng.gen_bool(0.75) {
+                *rng.choose(STRUCTURAL)
+            } else {
+                rng.gen_range(0..=u8::MAX)
+            }
+        };
+        let at = rng.gen_range(0..=bytes.len());
+        match rng.gen_range(0..10u32) {
+            0..=4 if at < bytes.len() => bytes[at] = byte(rng),
+            5 | 6 => bytes.insert(at, byte(rng)),
+            7 | 8 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+
     /// Runs `body` over `n` seeded cases (see [`cases`] for `n`). The
     /// corpus is fixed per `name`, so failures reproduce across runs;
     /// a failing case panics with its seed, and

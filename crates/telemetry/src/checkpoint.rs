@@ -10,34 +10,22 @@
 //!
 //! Enums are encoded as kind-tagged objects (`{"kind": "read", ...}`),
 //! line states as their display letters (`"L"`, `"F1"`), and the
-//! fault counters as an object keyed by
-//! [`decache_machine::FAULT_STAT_FIELDS`] so the file stays
-//! self-describing.
+//! fault counters as a keyed object shared with the metrics snapshot,
+//! so the file stays self-describing. Decoding is strict: every field
+//! must be present, including counters a schema-1 snapshot may omit.
 
-use crate::json::Json;
-use decache_bus::{ArbiterCheckpoint, BusOp, BusTransaction};
-use decache_cache::{LineCheckpoint, RefClass, TagStoreCheckpoint};
+use crate::json::{field, uint, Json};
+use crate::snapshot::{faults_from_json, faults_to_json, machine_from_json};
+use decache_bus::{ArbiterCheckpoint, BusOp, BusTransaction, QueueState, TrafficStats};
+use decache_cache::{CacheStats, LineCheckpoint, RefClass, TagStoreCheckpoint};
 use decache_core::LineState;
 use decache_machine::{
-    CacheStatsCheckpoint, FaultClockEntry, FaultEngineCheckpoint, HistogramCheckpoint,
-    MachineCheckpoint, MachineStats, MemoryCheckpoint, OpResult, PendingCheckpoint,
-    ProcessorCheckpoint, QueueCheckpoint, StatusCheckpoint, TelemetryCheckpoint, TrafficCheckpoint,
-    FAULT_STAT_FIELDS,
+    CycleHistograms, FaultClockEntry, FaultEngineCheckpoint, Histogram, MachineCheckpoint,
+    MachineStats, MemoryCheckpoint, OpResult, PendingCheckpoint, ProcessorCheckpoint,
+    StatusCheckpoint, TelemetryCheckpoint,
 };
 use decache_mem::{Addr, MemoryStats, PeId, Word};
 use std::path::Path;
-
-fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn uint(value: &Json, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field '{key}' is not an integer"))
-}
 
 fn string<'a>(value: &'a Json, key: &str) -> Result<&'a str, String> {
     field(value, key)?
@@ -242,12 +230,12 @@ fn tag_store_from_json(value: &Json) -> Result<TagStoreCheckpoint<LineState>, St
     })
 }
 
-fn cache_stats_to_json(s: &CacheStatsCheckpoint) -> Json {
+fn cache_stats_to_json(s: &CacheStats) -> Json {
     let table = |t: &[[u64; 3]; 2]| Json::Array(t.iter().map(|row| uints_to_json(*row)).collect());
     Json::object(vec![("hits", table(&s.hits)), ("misses", table(&s.misses))])
 }
 
-fn cache_stats_from_json(value: &Json) -> Result<CacheStatsCheckpoint, String> {
+fn cache_stats_from_json(value: &Json) -> Result<CacheStats, String> {
     let table = |key: &str| -> Result<[[u64; 3]; 2], String> {
         let rows = array(value, key)?;
         if rows.len() != 2 {
@@ -272,7 +260,7 @@ fn cache_stats_from_json(value: &Json) -> Result<CacheStatsCheckpoint, String> {
         }
         Ok(out)
     };
-    Ok(CacheStatsCheckpoint {
+    Ok(CacheStats {
         hits: table("hits")?,
         misses: table("misses")?,
     })
@@ -485,7 +473,7 @@ fn transaction_from_json(value: &Json) -> Result<BusTransaction, String> {
     })
 }
 
-fn queue_to_json(q: &QueueCheckpoint) -> Json {
+fn queue_to_json(q: &QueueState) -> Json {
     Json::object(vec![
         (
             "retry",
@@ -531,8 +519,8 @@ fn pes_from_json(value: &Json, name: &'static str) -> Result<Vec<PeId>, String> 
         .collect()
 }
 
-fn queue_from_json(value: &Json) -> Result<QueueCheckpoint, String> {
-    Ok(QueueCheckpoint {
+fn queue_from_json(value: &Json) -> Result<QueueState, String> {
+    Ok(QueueState {
         retry: items(value, "retry", transaction_from_json)?,
         pending: items(value, "pending", transaction_from_json)?,
         arrival: pes_from_json(value, "arrival")?,
@@ -578,7 +566,7 @@ fn arbiter_from_json(value: &Json) -> Result<ArbiterCheckpoint, String> {
     }
 }
 
-fn traffic_to_json(t: &TrafficCheckpoint) -> Json {
+fn traffic_to_json(t: &TrafficStats) -> Json {
     Json::object(vec![
         ("counts", uints_to_json(t.counts)),
         ("aborted_reads", Json::U64(t.aborted_reads)),
@@ -589,9 +577,9 @@ fn traffic_to_json(t: &TrafficCheckpoint) -> Json {
     ])
 }
 
-fn traffic_from_json(value: &Json) -> Result<TrafficCheckpoint, String> {
+fn traffic_from_json(value: &Json) -> Result<TrafficStats, String> {
     let counts = uints(value, "counts")?;
-    Ok(TrafficCheckpoint {
+    Ok(TrafficStats {
         counts: <[u64; 5]>::try_from(counts)
             .map_err(|c| format!("field 'counts' has {} kinds, expected 5", c.len()))?,
         aborted_reads: uint(value, "aborted_reads")?,
@@ -602,6 +590,8 @@ fn traffic_from_json(value: &Json) -> Result<TrafficCheckpoint, String> {
     })
 }
 
+/// The checkpoint's own key order (TS failures first), which differs
+/// from the snapshot's; both decode through [`machine_from_json`].
 fn machine_stats_to_json(s: MachineStats) -> Json {
     Json::object(vec![
         ("broadcast_satisfied", Json::U64(s.broadcast_satisfied)),
@@ -618,46 +608,33 @@ fn machine_stats_to_json(s: MachineStats) -> Json {
     ])
 }
 
-fn machine_stats_from_json(value: &Json) -> Result<MachineStats, String> {
-    Ok(MachineStats {
-        broadcast_satisfied: uint(value, "broadcast_satisfied")?,
-        writebacks: uint(value, "writebacks")?,
-        ts_failures: uint(value, "ts_failures")?,
-        ts_successes: uint(value, "ts_successes")?,
-        lock_rejections: uint(value, "lock_rejections")?,
-        lock_rejected_reads: uint(value, "lock_rejected_reads")?,
-        lock_rejected_writes: uint(value, "lock_rejected_writes")?,
-        tag_probes: uint(value, "tag_probes")?,
-        sharer_visits: uint(value, "sharer_visits")?,
-        queue_scans: uint(value, "queue_scans")?,
-        split_cancels: uint(value, "split_cancels")?,
-    })
-}
-
-fn histogram_to_json(h: &HistogramCheckpoint) -> Json {
+fn histogram_to_json(h: &Histogram) -> Json {
     Json::object(vec![
-        ("buckets", uints_to_json(h.buckets.iter().copied())),
-        ("count", Json::U64(h.count)),
-        ("sum", Json::U64(h.sum)),
-        ("max", Json::U64(h.max)),
+        ("buckets", uints_to_json(h.buckets().iter().copied())),
+        ("count", Json::U64(h.count())),
+        ("sum", Json::U64(h.sum())),
+        ("max", Json::U64(h.max())),
     ])
 }
 
-fn histogram_from_json(value: &Json) -> Result<HistogramCheckpoint, String> {
-    Ok(HistogramCheckpoint {
-        buckets: uints(value, "buckets")?,
-        count: uint(value, "count")?,
-        sum: uint(value, "sum")?,
-        max: uint(value, "max")?,
-    })
+fn histogram_from_json(value: &Json, key: &str) -> Result<Histogram, String> {
+    let h = field(value, key)?;
+    Histogram::from_checkpoint(
+        &uints(h, "buckets")?,
+        uint(h, "count")?,
+        uint(h, "sum")?,
+        uint(h, "max")?,
+    )
+    .map_err(|e| format!("{key}: {e}"))
 }
 
 fn telemetry_to_json(t: &TelemetryCheckpoint) -> Json {
+    let h = &t.histograms;
     Json::object(vec![
-        ("bus_acquire_wait", histogram_to_json(&t.bus_acquire_wait)),
-        ("memory_service", histogram_to_json(&t.memory_service)),
-        ("read_fill", histogram_to_json(&t.read_fill)),
-        ("ts_spin", histogram_to_json(&t.ts_spin)),
+        ("bus_acquire_wait", histogram_to_json(&h.bus_acquire_wait)),
+        ("memory_service", histogram_to_json(&h.memory_service)),
+        ("read_fill", histogram_to_json(&h.read_fill)),
+        ("ts_spin", histogram_to_json(&h.ts_spin)),
         ("enqueued_at", uints_to_json(t.enqueued_at.iter().copied())),
         ("read_since", uints_to_json(t.read_since.iter().copied())),
         ("ts_since", uints_to_json(t.ts_since.iter().copied())),
@@ -666,10 +643,12 @@ fn telemetry_to_json(t: &TelemetryCheckpoint) -> Json {
 
 fn telemetry_from_json(value: &Json) -> Result<TelemetryCheckpoint, String> {
     Ok(TelemetryCheckpoint {
-        bus_acquire_wait: histogram_from_json(field(value, "bus_acquire_wait")?)?,
-        memory_service: histogram_from_json(field(value, "memory_service")?)?,
-        read_fill: histogram_from_json(field(value, "read_fill")?)?,
-        ts_spin: histogram_from_json(field(value, "ts_spin")?)?,
+        histograms: CycleHistograms {
+            bus_acquire_wait: histogram_from_json(value, "bus_acquire_wait")?,
+            memory_service: histogram_from_json(value, "memory_service")?,
+            read_fill: histogram_from_json(value, "read_fill")?,
+            ts_spin: histogram_from_json(value, "ts_spin")?,
+        },
         enqueued_at: uints(value, "enqueued_at")?,
         read_since: uints(value, "read_since")?,
         ts_since: uints(value, "ts_since")?,
@@ -714,24 +693,6 @@ fn fault_clock_to_json(entries: &[FaultClockEntry]) -> Json {
             })
             .collect(),
     )
-}
-
-fn fault_stats_to_json(stats: &[u64; 17]) -> Json {
-    Json::Object(
-        FAULT_STAT_FIELDS
-            .iter()
-            .zip(stats.iter())
-            .map(|(name, &v)| ((*name).to_owned(), Json::U64(v)))
-            .collect(),
-    )
-}
-
-fn fault_stats_from_json(value: &Json) -> Result<[u64; 17], String> {
-    let mut out = [0u64; 17];
-    for (slot, name) in out.iter_mut().zip(FAULT_STAT_FIELDS.iter()) {
-        *slot = uint(value, name)?;
-    }
-    Ok(out)
 }
 
 /// Encodes a [`MachineCheckpoint`] as the workspace's canonical JSON
@@ -790,7 +751,7 @@ pub fn checkpoint_to_json(ck: &MachineCheckpoint) -> Json {
         ("bus_free_at", uints_to_json(ck.bus_free_at.iter().copied())),
         ("stats", machine_stats_to_json(ck.stats)),
         ("fault", ck.fault.as_ref().map_or(Json::Null, fault_to_json)),
-        ("fault_stats", fault_stats_to_json(&ck.fault_stats)),
+        ("fault_stats", faults_to_json(&ck.fault_stats)),
         ("fault_clock", fault_clock_to_json(&ck.fault_clock)),
         (
             "last_progress",
@@ -846,13 +807,13 @@ pub fn checkpoint_from_json(value: &Json) -> Result<MachineCheckpoint, String> {
         arbiters: items(value, "arbiters", arbiter_from_json)?,
         traffic: items(value, "traffic", traffic_from_json)?,
         bus_free_at: uints(value, "bus_free_at")?,
-        stats: machine_stats_from_json(field(value, "stats")?)
+        stats: machine_from_json(field(value, "stats")?, uint)
             .map_err(|e| format!("stats: {e}"))?,
         fault: match field(value, "fault")? {
             Json::Null => None,
             f => Some(fault_from_json(f).map_err(|e| format!("fault: {e}"))?),
         },
-        fault_stats: fault_stats_from_json(field(value, "fault_stats")?)
+        fault_stats: faults_from_json(field(value, "fault_stats")?)
             .map_err(|e| format!("fault_stats: {e}"))?,
         fault_clock: items(value, "fault_clock", |v| {
             Ok(FaultClockEntry {

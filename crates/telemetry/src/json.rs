@@ -9,6 +9,11 @@
 
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document the workspace writes nests fewer than ten levels; the bound
+/// turns a hostile `[[[[…` into an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 ///
 /// Numbers are split into [`Json::U64`] (no decimal point or exponent
@@ -95,11 +100,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax
-    /// error, or of trailing garbage after the document.
+    /// error, of nesting deeper than [`MAX_DEPTH`], or of trailing
+    /// garbage after the document.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -109,6 +116,20 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+/// The member `key` of an object, or a "missing field" message.
+pub(crate) fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
+    value
+        .get(key)
+        .ok_or_else(|| format!("missing field '{key}'"))
+}
+
+/// The integer member `key` of an object, or a message naming it.
+pub(crate) fn uint(value: &Json, key: &str) -> Result<u64, String> {
+    field(value, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field '{key}' is not an integer"))
 }
 
 /// Writes `s` as a JSON string literal (quotes and escapes included).
@@ -184,6 +205,8 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -225,8 +248,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -322,13 +359,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both delimiters are ASCII, so the run of the
+                    // (valid UTF-8) input ends on a character boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| "invalid UTF-8")?;
+                    out.push_str(run);
                 }
             }
         }
@@ -425,5 +465,28 @@ mod tests {
         assert!(Json::parse("[1,2").is_err());
         assert!(Json::parse("12 34").unwrap_err().contains("trailing"));
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // A megabyte of openers is an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn a_mebibyte_string_parses_in_one_pass() {
+        let body = "é\"x\\y".repeat(1 << 18);
+        let text = Json::Str(body.clone()).to_string();
+        assert!(text.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(body.as_str()));
+        // Linear time is milliseconds even unoptimized; rescanning the
+        // remaining input per character would take minutes.
+        assert!(start.elapsed().as_secs() < 10, "{:?}", start.elapsed());
     }
 }

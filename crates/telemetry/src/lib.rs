@@ -17,10 +17,11 @@
 //!
 //! - [`json`] — a dependency-free JSON value, canonical writer, and
 //!   parser (the build is hermetic; there is no serde here).
-//! - [`MetricsSnapshot`] — the metrics registry: per-PE cache counters,
-//!   per-bus traffic counters, machine and fault counters, and (when
+//! - [`MetricsSnapshot`] — the metrics registry: the machine's own
+//!   counter types (per-PE `CacheStats`, per-bus `TrafficStats`,
+//!   `MachineStats` and `FaultStats`) and, when
 //!   the machine was built with
-//!   [`MachineBuilder::telemetry`](decache_machine::MachineBuilder::telemetry))
+//!   [`MachineBuilder::telemetry`](decache_machine::MachineBuilder::telemetry),
 //!   the four cycle-attribution histograms: bus-acquire wait, memory
 //!   service time, read-miss fill latency, and Test-and-Set spin
 //!   length.
@@ -41,10 +42,7 @@ pub use artifact::{append_line_atomic, write_atomic};
 pub use checkpoint::{checkpoint_from_json, checkpoint_to_json, load_checkpoint, save_checkpoint};
 pub use json::Json;
 pub use perfetto::{env_trace_path, PerfettoTrace, DEFAULT_CAPACITY};
-pub use snapshot::{
-    BusCounts, CacheCounts, FaultCounts, HistogramSet, HistogramSnapshot, MachineCounts,
-    MetricsSnapshot, SCHEMA_VERSION,
-};
+pub use snapshot::{HistogramSet, HistogramSnapshot, MetricsSnapshot, SCHEMA_VERSION};
 
 // The histograms themselves live in `decache-machine` (the machine
 // records into them); re-export so telemetry users need one import.

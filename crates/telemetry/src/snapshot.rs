@@ -4,14 +4,17 @@
 //! [`MetricsSnapshot::from_machine`] is the single reading point for
 //! cache, bus, machine, fault, and histogram statistics; everything the
 //! bench bins and experiment tables report is derived from it. The
-//! serialized form contains **only raw integer counters** (never
-//! derived ratios), so a snapshot round-trips through JSON exactly and
-//! two snapshots can be merged by plain addition.
+//! snapshot holds the machine's own counter types ([`CacheStats`],
+//! [`TrafficStats`], [`MachineStats`], [`FaultStats`]) unchanged; this
+//! module adds only their schema-1 JSON codec and the cross-counter
+//! audit. The serialized form contains **only raw integer counters**
+//! (never derived ratios), so a snapshot round-trips through JSON
+//! exactly and two snapshots merge with the counters' own `+=`.
 
-use crate::json::Json;
-use decache_bus::BusOpKind;
-use decache_cache::{AccessKind, RefClass};
-use decache_machine::{Histogram, Machine};
+use crate::json::{field, uint, Json};
+use decache_bus::{BusOpKind, TrafficStats};
+use decache_cache::CacheStats;
+use decache_machine::{FaultStats, Histogram, Machine, MachineStats};
 
 /// Schema version stamped into every serialized snapshot.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -19,22 +22,9 @@ pub const SCHEMA_VERSION: u64 = 1;
 const KINDS: [&str; 2] = ["read", "write"];
 const CLASSES: [&str; 3] = ["code", "local", "shared"];
 
-fn field(value: &Json, key: &str) -> Result<Json, String> {
-    value
-        .get(key)
-        .cloned()
-        .ok_or_else(|| format!("missing field '{key}'"))
-}
-
-fn uint(value: &Json, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field '{key}' is not an integer"))
-}
-
 /// Like [`uint`] but treats an absent field as 0, for counters added
 /// after snapshots of this schema version were first written.
-fn uint_or_zero(value: &Json, key: &str) -> Result<u64, String> {
+pub(crate) fn uint_or_zero(value: &Json, key: &str) -> Result<u64, String> {
     match value.get(key) {
         None => Ok(0),
         Some(v) => v
@@ -43,521 +33,164 @@ fn uint_or_zero(value: &Json, key: &str) -> Result<u64, String> {
     }
 }
 
-/// Per-PE cache hit/miss counters, keyed by access kind × reference
-/// class exactly like `CacheStats` (the paper's Table 1-1 taxonomy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounts {
-    /// `hits[kind][class]`: kind 0 = read, 1 = write; class 0 = code,
-    /// 1 = local, 2 = shared.
-    pub hits: [[u64; 3]; 2],
-    /// Misses, same indexing.
-    pub misses: [[u64; 3]; 2],
-}
-
-impl CacheCounts {
-    fn from_stats(stats: &decache_cache::CacheStats) -> Self {
-        let mut out = CacheCounts::default();
-        for (k, kind) in [AccessKind::Read, AccessKind::Write]
-            .into_iter()
-            .enumerate()
-        {
-            for (c, class) in RefClass::ALL.into_iter().enumerate() {
-                out.hits[k][c] = stats.hits(kind, class);
-                out.misses[k][c] = stats.misses(kind, class);
-            }
-        }
-        out
-    }
-
-    /// Total references of all kinds and classes.
-    pub fn total_references(&self) -> u64 {
-        self.total_hits() + self.total_misses()
-    }
-
-    /// Total hits.
-    pub fn total_hits(&self) -> u64 {
-        self.hits.iter().flatten().sum()
-    }
-
-    /// Total misses.
-    pub fn total_misses(&self) -> u64 {
-        self.misses.iter().flatten().sum()
-    }
-
-    /// Read misses across all classes.
-    pub fn read_misses(&self) -> u64 {
-        self.misses[0].iter().sum()
-    }
-
-    /// Write misses across all classes.
-    pub fn write_misses(&self) -> u64 {
-        self.misses[1].iter().sum()
-    }
-
-    /// The hit ratio in `[0, 1]`; 0 with no references.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.total_references();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_hits() as f64 / total as f64
-        }
-    }
-
-    fn merge(&mut self, other: &CacheCounts) {
-        for k in 0..2 {
-            for c in 0..3 {
-                self.hits[k][c] += other.hits[k][c];
-                self.misses[k][c] += other.misses[k][c];
-            }
-        }
-    }
-
-    fn table_to_json(table: &[[u64; 3]; 2]) -> Json {
+/// Encodes one PE's counters as `{hits|misses: {read|write: {code|local|shared}}}`.
+fn cache_to_json(stats: &CacheStats) -> Json {
+    let table = |t: &[[u64; 3]; 2]| {
         Json::Object(
             KINDS
                 .iter()
-                .enumerate()
-                .map(|(k, kind)| {
-                    (
-                        (*kind).to_owned(),
-                        Json::Object(
-                            CLASSES
-                                .iter()
-                                .enumerate()
-                                .map(|(c, class)| ((*class).to_owned(), Json::U64(table[k][c])))
-                                .collect(),
-                        ),
-                    )
+                .zip(t)
+                .map(|(kind, row)| {
+                    let cells = CLASSES.iter().zip(row);
+                    let cells = cells.map(|(class, &v)| ((*class).to_owned(), Json::U64(v)));
+                    ((*kind).to_owned(), Json::Object(cells.collect()))
                 })
                 .collect(),
         )
-    }
+    };
+    Json::object(vec![
+        ("hits", table(&stats.hits)),
+        ("misses", table(&stats.misses)),
+    ])
+}
 
-    fn table_from_json(value: &Json) -> Result<[[u64; 3]; 2], String> {
-        let mut table = [[0u64; 3]; 2];
-        for (k, kind) in KINDS.iter().enumerate() {
-            let row = field(value, kind)?;
-            for (c, class) in CLASSES.iter().enumerate() {
-                table[k][c] = uint(&row, class)?;
+fn cache_from_json(value: &Json) -> Result<CacheStats, String> {
+    let table = |key: &str| -> Result<[[u64; 3]; 2], String> {
+        let table = field(value, key)?;
+        let mut out = [[0u64; 3]; 2];
+        for (row, kind) in out.iter_mut().zip(KINDS) {
+            let cells = field(table, kind)?;
+            for (cell, class) in row.iter_mut().zip(CLASSES) {
+                *cell = uint(cells, class)?;
             }
         }
-        Ok(table)
-    }
-
-    fn to_json(self) -> Json {
-        Json::object(vec![
-            ("hits", Self::table_to_json(&self.hits)),
-            ("misses", Self::table_to_json(&self.misses)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(CacheCounts {
-            hits: Self::table_from_json(&field(value, "hits")?)?,
-            misses: Self::table_from_json(&field(value, "misses")?)?,
-        })
-    }
+        Ok(out)
+    };
+    Ok(CacheStats {
+        hits: table("hits")?,
+        misses: table("misses")?,
+    })
 }
 
-/// Per-bus traffic counters, mirroring `TrafficStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusCounts {
-    /// Plain bus reads (`BR`).
-    pub reads: u64,
-    /// Bus writes (`BW`), including supplier substitutions, eviction
-    /// write-backs, and lock-rejected attempts.
-    pub writes: u64,
-    /// Bus invalidates (`BI`).
-    pub invalidates: u64,
-    /// Locked reads (`BRL`), accepted or rejected.
-    pub locked_reads: u64,
-    /// Unlocking writes (`BWU`).
-    pub unlock_writes: u64,
-    /// Reads interrupted by an owning snooper.
-    pub aborted_reads: u64,
-    /// Transactions re-run from the retry lane.
-    pub retries: u64,
-    /// Cycles with a transaction on the bus.
-    pub busy_cycles: u64,
-    /// Cycles with the bus idle.
-    pub idle_cycles: u64,
-    /// Split-transaction address phases (zero under non-split
-    /// disciplines).
-    pub address_phases: u64,
+/// Snapshot key of each bus transaction kind, in [`BusOpKind::ALL`]
+/// order (the order of [`TrafficStats::counts`]).
+const BUS_KINDS: [&str; 5] = [
+    "reads",
+    "writes",
+    "invalidates",
+    "locked_reads",
+    "unlock_writes",
+];
+
+fn bus_to_json(t: &TrafficStats) -> Json {
+    let counts = BUS_KINDS
+        .iter()
+        .zip(t.counts)
+        .map(|(k, v)| (*k, Json::U64(v)));
+    let mut fields: Vec<_> = counts.collect();
+    fields.extend([
+        ("aborted_reads", Json::U64(t.aborted_reads)),
+        ("retries", Json::U64(t.retries)),
+        ("busy_cycles", Json::U64(t.busy_cycles)),
+        ("idle_cycles", Json::U64(t.idle_cycles)),
+        ("address_phases", Json::U64(t.address_phases)),
+    ]);
+    Json::object(fields)
 }
 
-impl BusCounts {
-    fn from_stats(stats: &decache_bus::TrafficStats) -> Self {
-        BusCounts {
-            reads: stats.count(BusOpKind::Read),
-            writes: stats.count(BusOpKind::Write),
-            invalidates: stats.count(BusOpKind::Invalidate),
-            locked_reads: stats.count(BusOpKind::ReadWithLock),
-            unlock_writes: stats.count(BusOpKind::WriteWithUnlock),
-            aborted_reads: stats.aborted_reads,
-            retries: stats.retries,
-            busy_cycles: stats.busy_cycles,
-            idle_cycles: stats.idle_cycles,
-            address_phases: stats.address_phases,
-        }
+fn bus_from_json(value: &Json) -> Result<TrafficStats, String> {
+    let mut counts = [0u64; 5];
+    for (count, key) in counts.iter_mut().zip(BUS_KINDS) {
+        *count = uint(value, key)?;
     }
-
-    /// Total transactions across all kinds.
-    pub fn total_transactions(&self) -> u64 {
-        self.reads + self.writes + self.invalidates + self.locked_reads + self.unlock_writes
-    }
-
-    /// Data-fetching transactions (`BR + BRL`).
-    pub fn total_reads(&self) -> u64 {
-        self.reads + self.locked_reads
-    }
-
-    /// Memory-updating transactions (`BW + BWU`).
-    pub fn total_writes(&self) -> u64 {
-        self.writes + self.unlock_writes
-    }
-
-    /// The fraction of cycles the bus was busy, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        let total = self.busy_cycles + self.idle_cycles;
-        if total == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / total as f64
-        }
-    }
-
-    fn merge(&mut self, other: &BusCounts) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.invalidates += other.invalidates;
-        self.locked_reads += other.locked_reads;
-        self.unlock_writes += other.unlock_writes;
-        self.aborted_reads += other.aborted_reads;
-        self.retries += other.retries;
-        self.busy_cycles += other.busy_cycles;
-        self.idle_cycles += other.idle_cycles;
-        self.address_phases += other.address_phases;
-    }
-
-    fn to_json(self) -> Json {
-        Json::object(vec![
-            ("reads", Json::U64(self.reads)),
-            ("writes", Json::U64(self.writes)),
-            ("invalidates", Json::U64(self.invalidates)),
-            ("locked_reads", Json::U64(self.locked_reads)),
-            ("unlock_writes", Json::U64(self.unlock_writes)),
-            ("aborted_reads", Json::U64(self.aborted_reads)),
-            ("retries", Json::U64(self.retries)),
-            ("busy_cycles", Json::U64(self.busy_cycles)),
-            ("idle_cycles", Json::U64(self.idle_cycles)),
-            ("address_phases", Json::U64(self.address_phases)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(BusCounts {
-            reads: uint(value, "reads")?,
-            writes: uint(value, "writes")?,
-            invalidates: uint(value, "invalidates")?,
-            locked_reads: uint(value, "locked_reads")?,
-            unlock_writes: uint(value, "unlock_writes")?,
-            aborted_reads: uint(value, "aborted_reads")?,
-            retries: uint(value, "retries")?,
-            busy_cycles: uint(value, "busy_cycles")?,
-            idle_cycles: uint(value, "idle_cycles")?,
-            // Postdates the first schema-1 snapshots; absent means a
-            // run under a non-split discipline that never counted it.
-            address_phases: uint_or_zero(value, "address_phases")?,
-        })
-    }
+    Ok(TrafficStats {
+        counts,
+        aborted_reads: uint(value, "aborted_reads")?,
+        retries: uint(value, "retries")?,
+        busy_cycles: uint(value, "busy_cycles")?,
+        idle_cycles: uint(value, "idle_cycles")?,
+        // Postdates the first schema-1 snapshots; absent means a run
+        // under a non-split discipline that never counted it.
+        address_phases: uint_or_zero(value, "address_phases")?,
+    })
 }
 
-/// Machine-level counters, mirroring `MachineStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MachineCounts {
-    /// Stalled reads completed by snooping a broadcast.
-    pub broadcast_satisfied: u64,
-    /// Evicted lines written back to memory.
-    pub writebacks: u64,
-    /// Test-and-Set operations that acquired.
-    pub ts_successes: u64,
-    /// Test-and-Set operations that found the variable non-zero.
-    pub ts_failures: u64,
-    /// Bus transactions rejected by a memory lock and requeued.
-    pub lock_rejections: u64,
-    /// Locked reads among the rejections.
-    pub lock_rejected_reads: u64,
-    /// Plain bus writes among the rejections.
-    pub lock_rejected_writes: u64,
-    /// Deterministic work units: logical tag-store accesses.
-    pub tag_probes: u64,
-    /// Deterministic work units: broadcast fan-out visits (sharer and
-    /// pending-reader).
-    pub sharer_visits: u64,
-    /// Deterministic work units: arbitration scans of a non-empty bus
-    /// queue.
-    pub queue_scans: u64,
-    /// Split-transaction requests cancelled between their address and
-    /// data phases (broadcast satisfaction or fail-stop).
-    pub split_cancels: u64,
+fn machine_to_json(s: &MachineStats) -> Json {
+    Json::object(vec![
+        ("broadcast_satisfied", Json::U64(s.broadcast_satisfied)),
+        ("writebacks", Json::U64(s.writebacks)),
+        ("ts_successes", Json::U64(s.ts_successes)),
+        ("ts_failures", Json::U64(s.ts_failures)),
+        ("lock_rejections", Json::U64(s.lock_rejections)),
+        ("lock_rejected_reads", Json::U64(s.lock_rejected_reads)),
+        ("lock_rejected_writes", Json::U64(s.lock_rejected_writes)),
+        ("tag_probes", Json::U64(s.tag_probes)),
+        ("sharer_visits", Json::U64(s.sharer_visits)),
+        ("queue_scans", Json::U64(s.queue_scans)),
+        ("split_cancels", Json::U64(s.split_cancels)),
+    ])
 }
 
-impl MachineCounts {
-    fn from_stats(stats: &decache_machine::MachineStats) -> Self {
-        MachineCounts {
-            broadcast_satisfied: stats.broadcast_satisfied,
-            writebacks: stats.writebacks,
-            ts_successes: stats.ts_successes,
-            ts_failures: stats.ts_failures,
-            lock_rejections: stats.lock_rejections,
-            lock_rejected_reads: stats.lock_rejected_reads,
-            lock_rejected_writes: stats.lock_rejected_writes,
-            tag_probes: stats.tag_probes,
-            sharer_visits: stats.sharer_visits,
-            queue_scans: stats.queue_scans,
-            split_cancels: stats.split_cancels,
-        }
-    }
-
-    /// Total Test-and-Set operations.
-    pub fn ts_attempts(&self) -> u64 {
-        self.ts_successes + self.ts_failures
-    }
-
-    /// Total deterministic work units, matching
-    /// `MachineStats::work_units`.
-    pub fn work_units(&self) -> u64 {
-        self.tag_probes + self.sharer_visits + self.queue_scans
-    }
-
-    fn merge(&mut self, other: &MachineCounts) {
-        self.broadcast_satisfied += other.broadcast_satisfied;
-        self.writebacks += other.writebacks;
-        self.ts_successes += other.ts_successes;
-        self.ts_failures += other.ts_failures;
-        self.lock_rejections += other.lock_rejections;
-        self.lock_rejected_reads += other.lock_rejected_reads;
-        self.lock_rejected_writes += other.lock_rejected_writes;
-        self.tag_probes += other.tag_probes;
-        self.sharer_visits += other.sharer_visits;
-        self.queue_scans += other.queue_scans;
-        self.split_cancels += other.split_cancels;
-    }
-
-    fn to_json(self) -> Json {
-        Json::object(vec![
-            ("broadcast_satisfied", Json::U64(self.broadcast_satisfied)),
-            ("writebacks", Json::U64(self.writebacks)),
-            ("ts_successes", Json::U64(self.ts_successes)),
-            ("ts_failures", Json::U64(self.ts_failures)),
-            ("lock_rejections", Json::U64(self.lock_rejections)),
-            ("lock_rejected_reads", Json::U64(self.lock_rejected_reads)),
-            ("lock_rejected_writes", Json::U64(self.lock_rejected_writes)),
-            ("tag_probes", Json::U64(self.tag_probes)),
-            ("sharer_visits", Json::U64(self.sharer_visits)),
-            ("queue_scans", Json::U64(self.queue_scans)),
-            ("split_cancels", Json::U64(self.split_cancels)),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        Ok(MachineCounts {
-            broadcast_satisfied: uint(value, "broadcast_satisfied")?,
-            writebacks: uint(value, "writebacks")?,
-            ts_successes: uint(value, "ts_successes")?,
-            ts_failures: uint(value, "ts_failures")?,
-            lock_rejections: uint(value, "lock_rejections")?,
-            lock_rejected_reads: uint(value, "lock_rejected_reads")?,
-            lock_rejected_writes: uint(value, "lock_rejected_writes")?,
-            // The work-unit counters postdate the first schema-1
-            // snapshots; absent means a run that never counted them.
-            tag_probes: uint_or_zero(value, "tag_probes")?,
-            sharer_visits: uint_or_zero(value, "sharer_visits")?,
-            queue_scans: uint_or_zero(value, "queue_scans")?,
-            split_cancels: uint_or_zero(value, "split_cancels")?,
-        })
-    }
+/// Decodes [`MachineStats`] from either codec's object (key order is
+/// irrelevant to decoding). `late` reads the four counters added after
+/// the first schema-1 snapshots: the snapshot reads an absent one as
+/// 0, the checkpoint requires them.
+pub(crate) fn machine_from_json(
+    value: &Json,
+    late: fn(&Json, &str) -> Result<u64, String>,
+) -> Result<MachineStats, String> {
+    Ok(MachineStats {
+        broadcast_satisfied: uint(value, "broadcast_satisfied")?,
+        writebacks: uint(value, "writebacks")?,
+        ts_successes: uint(value, "ts_successes")?,
+        ts_failures: uint(value, "ts_failures")?,
+        lock_rejections: uint(value, "lock_rejections")?,
+        lock_rejected_reads: uint(value, "lock_rejected_reads")?,
+        lock_rejected_writes: uint(value, "lock_rejected_writes")?,
+        tag_probes: late(value, "tag_probes")?,
+        sharer_visits: late(value, "sharer_visits")?,
+        queue_scans: late(value, "queue_scans")?,
+        split_cancels: late(value, "split_cancels")?,
+    })
 }
 
-/// Fault-injection and recovery counters, mirroring `FaultStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Memory word flips injected.
-    pub memory_faults_injected: u64,
-    /// Cache line flips injected.
-    pub cache_faults_injected: u64,
-    /// Bus transactions lost (granted, burned, retried).
-    pub bus_transactions_lost: u64,
-    /// PEs fail-stopped.
-    pub pe_fail_stops: u64,
-    /// Memory parity failures detected on bus reads.
-    pub memory_faults_detected: u64,
-    /// Cache parity failures detected on CPU access or supply.
-    pub cache_faults_detected: u64,
-    /// Memory words repaired from an owning cache copy.
-    pub memory_recoveries_owner: u64,
-    /// Memory words repaired by majority vote.
-    pub memory_recoveries_majority: u64,
-    /// Detected memory faults with no usable replica.
-    pub memory_recoveries_failed: u64,
-    /// Corrupted cache lines invalidated and re-fetched.
-    pub cache_refetches: u64,
-    /// Corrupted cache lines healed by a captured broadcast.
-    pub broadcast_heals: u64,
-    /// Writes that existed only in a corrupted or dead cache.
-    pub lost_writes: u64,
-    /// Owned lines flushed by fail-stop draining.
-    pub drained_lines: u64,
-    /// Memory locks forcibly released from fail-stopped PEs.
-    pub forced_unlocks: u64,
-    /// Sum over detections of (detection cycle − injection cycle).
-    pub recovery_latency_total: u64,
-    /// Detections contributing to the latency sum.
-    pub recovery_latency_samples: u64,
-    /// Sum over in-loop recoveries of the replica count consulted.
-    pub replicas_at_recovery: u64,
+/// Defines the one codec of [`FaultStats`]: snapshots and checkpoints
+/// write the fault counters identically, keyed by field name in the
+/// listed order. The struct literal makes a counter missing from the
+/// list a compile error.
+macro_rules! fault_codec {
+    ($($counter:ident),* $(,)?) => {
+        pub(crate) fn faults_to_json(stats: &FaultStats) -> Json {
+            Json::object(vec![$((stringify!($counter), Json::U64(stats.$counter))),*])
+        }
+
+        pub(crate) fn faults_from_json(value: &Json) -> Result<FaultStats, String> {
+            Ok(FaultStats {
+                $($counter: uint(value, stringify!($counter))?),*
+            })
+        }
+    };
 }
 
-impl FaultCounts {
-    fn from_stats(stats: &decache_machine::FaultStats) -> Self {
-        FaultCounts {
-            memory_faults_injected: stats.memory_faults_injected,
-            cache_faults_injected: stats.cache_faults_injected,
-            bus_transactions_lost: stats.bus_transactions_lost,
-            pe_fail_stops: stats.pe_fail_stops,
-            memory_faults_detected: stats.memory_faults_detected,
-            cache_faults_detected: stats.cache_faults_detected,
-            memory_recoveries_owner: stats.memory_recoveries_owner,
-            memory_recoveries_majority: stats.memory_recoveries_majority,
-            memory_recoveries_failed: stats.memory_recoveries_failed,
-            cache_refetches: stats.cache_refetches,
-            broadcast_heals: stats.broadcast_heals,
-            lost_writes: stats.lost_writes,
-            drained_lines: stats.drained_lines,
-            forced_unlocks: stats.forced_unlocks,
-            recovery_latency_total: stats.recovery_latency_total,
-            recovery_latency_samples: stats.recovery_latency_samples,
-            replicas_at_recovery: stats.replicas_at_recovery,
-        }
-    }
-
-    /// Total faults injected, of every kind.
-    pub fn total_injected(&self) -> u64 {
-        self.memory_faults_injected
-            + self.cache_faults_injected
-            + self.bus_transactions_lost
-            + self.pe_fail_stops
-    }
-
-    /// In-loop memory recovery attempts.
-    pub fn memory_recovery_attempts(&self) -> u64 {
-        self.memory_recoveries_owner
-            + self.memory_recoveries_majority
-            + self.memory_recoveries_failed
-    }
-
-    /// Fraction of detected memory faults repaired from a replica
-    /// (`None` when nothing was detected).
-    pub fn memory_recovery_success_rate(&self) -> Option<f64> {
-        let attempts = self.memory_recovery_attempts();
-        (attempts > 0).then(|| {
-            (self.memory_recoveries_owner + self.memory_recoveries_majority) as f64
-                / attempts as f64
-        })
-    }
-
-    const FIELDS: [&'static str; 17] = [
-        "memory_faults_injected",
-        "cache_faults_injected",
-        "bus_transactions_lost",
-        "pe_fail_stops",
-        "memory_faults_detected",
-        "cache_faults_detected",
-        "memory_recoveries_owner",
-        "memory_recoveries_majority",
-        "memory_recoveries_failed",
-        "cache_refetches",
-        "broadcast_heals",
-        "lost_writes",
-        "drained_lines",
-        "forced_unlocks",
-        "recovery_latency_total",
-        "recovery_latency_samples",
-        "replicas_at_recovery",
-    ];
-
-    fn as_array(&self) -> [u64; 17] {
-        [
-            self.memory_faults_injected,
-            self.cache_faults_injected,
-            self.bus_transactions_lost,
-            self.pe_fail_stops,
-            self.memory_faults_detected,
-            self.cache_faults_detected,
-            self.memory_recoveries_owner,
-            self.memory_recoveries_majority,
-            self.memory_recoveries_failed,
-            self.cache_refetches,
-            self.broadcast_heals,
-            self.lost_writes,
-            self.drained_lines,
-            self.forced_unlocks,
-            self.recovery_latency_total,
-            self.recovery_latency_samples,
-            self.replicas_at_recovery,
-        ]
-    }
-
-    fn from_array(values: [u64; 17]) -> Self {
-        FaultCounts {
-            memory_faults_injected: values[0],
-            cache_faults_injected: values[1],
-            bus_transactions_lost: values[2],
-            pe_fail_stops: values[3],
-            memory_faults_detected: values[4],
-            cache_faults_detected: values[5],
-            memory_recoveries_owner: values[6],
-            memory_recoveries_majority: values[7],
-            memory_recoveries_failed: values[8],
-            cache_refetches: values[9],
-            broadcast_heals: values[10],
-            lost_writes: values[11],
-            drained_lines: values[12],
-            forced_unlocks: values[13],
-            recovery_latency_total: values[14],
-            recovery_latency_samples: values[15],
-            replicas_at_recovery: values[16],
-        }
-    }
-
-    fn merge(&mut self, other: &FaultCounts) {
-        let mut merged = self.as_array();
-        for (m, o) in merged.iter_mut().zip(other.as_array()) {
-            *m += o;
-        }
-        *self = Self::from_array(merged);
-    }
-
-    fn to_json(self) -> Json {
-        Json::Object(
-            Self::FIELDS
-                .iter()
-                .zip(self.as_array())
-                .map(|(k, v)| ((*k).to_owned(), Json::U64(v)))
-                .collect(),
-        )
-    }
-
-    fn from_json(value: &Json) -> Result<Self, String> {
-        let mut values = [0u64; 17];
-        for (slot, key) in values.iter_mut().zip(Self::FIELDS) {
-            *slot = uint(value, key)?;
-        }
-        Ok(Self::from_array(values))
-    }
-}
+fault_codec!(
+    memory_faults_injected,
+    cache_faults_injected,
+    bus_transactions_lost,
+    pe_fail_stops,
+    memory_faults_detected,
+    cache_faults_detected,
+    memory_recoveries_owner,
+    memory_recoveries_majority,
+    memory_recoveries_failed,
+    cache_refetches,
+    broadcast_heals,
+    lost_writes,
+    drained_lines,
+    forced_unlocks,
+    recovery_latency_total,
+    recovery_latency_samples,
+    replicas_at_recovery,
+);
 
 /// A serialized latency histogram: the moments plus the non-empty
 /// power-of-2 buckets as `(floor, count)` pairs.
@@ -681,10 +314,10 @@ impl HistogramSet {
 
     fn from_json(value: &Json) -> Result<Self, String> {
         Ok(HistogramSet {
-            bus_acquire_wait: HistogramSnapshot::from_json(&field(value, "bus_acquire_wait")?)?,
-            memory_service: HistogramSnapshot::from_json(&field(value, "memory_service")?)?,
-            read_fill: HistogramSnapshot::from_json(&field(value, "read_fill")?)?,
-            ts_spin: HistogramSnapshot::from_json(&field(value, "ts_spin")?)?,
+            bus_acquire_wait: HistogramSnapshot::from_json(field(value, "bus_acquire_wait")?)?,
+            memory_service: HistogramSnapshot::from_json(field(value, "memory_service")?)?,
+            read_fill: HistogramSnapshot::from_json(field(value, "read_fill")?)?,
+            ts_spin: HistogramSnapshot::from_json(field(value, "ts_spin")?)?,
         })
     }
 }
@@ -724,13 +357,13 @@ pub struct MetricsSnapshot {
     /// Runs merged into this snapshot (1 for a fresh one).
     pub runs: u64,
     /// Per-PE cache hit/miss counters.
-    pub cache_per_pe: Vec<CacheCounts>,
+    pub cache_per_pe: Vec<CacheStats>,
     /// Per-bus traffic counters.
-    pub bus_per_bus: Vec<BusCounts>,
+    pub bus_per_bus: Vec<TrafficStats>,
     /// Machine-level counters.
-    pub machine: MachineCounts,
+    pub machine: MachineStats,
     /// Fault-injection and recovery counters.
-    pub faults: FaultCounts,
+    pub faults: FaultStats,
     /// Cycle-attribution histograms; `None` when the machine was built
     /// without [`MachineBuilder::telemetry`].
     ///
@@ -749,13 +382,11 @@ impl MetricsSnapshot {
             cycles: machine.cycles(),
             runs: 1,
             cache_per_pe: (0..machine.pe_count())
-                .map(|pe| CacheCounts::from_stats(&machine.cache_stats(pe)))
+                .map(|pe| machine.cache_stats(pe))
                 .collect(),
-            bus_per_bus: (0..machine.bus_count())
-                .map(|b| BusCounts::from_stats(traffic.bus(b)))
-                .collect(),
-            machine: MachineCounts::from_stats(&machine.stats()),
-            faults: FaultCounts::from_stats(&machine.fault_stats()),
+            bus_per_bus: (0..machine.bus_count()).map(|b| *traffic.bus(b)).collect(),
+            machine: machine.stats(),
+            faults: machine.fault_stats(),
             histograms: machine.histograms().map(|h| HistogramSet {
                 bus_acquire_wait: HistogramSnapshot::from_histogram(&h.bus_acquire_wait),
                 memory_service: HistogramSnapshot::from_histogram(&h.memory_service),
@@ -766,21 +397,17 @@ impl MetricsSnapshot {
     }
 
     /// Cache counters summed over all PEs.
-    pub fn cache_total(&self) -> CacheCounts {
-        let mut total = CacheCounts::default();
-        for c in &self.cache_per_pe {
-            total.merge(c);
-        }
-        total
+    pub fn cache_total(&self) -> CacheStats {
+        self.cache_per_pe
+            .iter()
+            .fold(CacheStats::default(), |a, &b| a + b)
     }
 
     /// Traffic counters summed over all buses.
-    pub fn bus_total(&self) -> BusCounts {
-        let mut total = BusCounts::default();
-        for b in &self.bus_per_bus {
-            total.merge(b);
-        }
-        total
+    pub fn bus_total(&self) -> TrafficStats {
+        self.bus_per_bus
+            .iter()
+            .fold(TrafficStats::default(), |a, &b| a + b)
     }
 
     /// Merges another run of the **same configuration** (protocol, PE
@@ -810,14 +437,14 @@ impl MetricsSnapshot {
         }
         self.cycles += other.cycles;
         self.runs += other.runs;
-        for (mine, theirs) in self.cache_per_pe.iter_mut().zip(&other.cache_per_pe) {
-            mine.merge(theirs);
+        for (mine, &theirs) in self.cache_per_pe.iter_mut().zip(&other.cache_per_pe) {
+            *mine += theirs;
         }
-        for (mine, theirs) in self.bus_per_bus.iter_mut().zip(&other.bus_per_bus) {
-            mine.merge(theirs);
+        for (mine, &theirs) in self.bus_per_bus.iter_mut().zip(&other.bus_per_bus) {
+            *mine += theirs;
         }
-        self.machine.merge(&other.machine);
-        self.faults.merge(&other.faults);
+        self.machine += other.machine;
+        self.faults += other.faults;
         Ok(())
     }
 
@@ -832,14 +459,14 @@ impl MetricsSnapshot {
             ("runs", Json::U64(self.runs)),
             (
                 "cache_per_pe",
-                Json::Array(self.cache_per_pe.iter().map(|c| c.to_json()).collect()),
+                Json::Array(self.cache_per_pe.iter().map(cache_to_json).collect()),
             ),
             (
                 "bus_per_bus",
-                Json::Array(self.bus_per_bus.iter().map(|b| b.to_json()).collect()),
+                Json::Array(self.bus_per_bus.iter().map(bus_to_json).collect()),
             ),
-            ("machine", self.machine.to_json()),
-            ("faults", self.faults.to_json()),
+            ("machine", machine_to_json(&self.machine)),
+            ("faults", faults_to_json(&self.faults)),
         ];
         if let Some(h) = &self.histograms {
             fields.push(("histograms", h.to_json()));
@@ -869,13 +496,13 @@ impl MetricsSnapshot {
             .as_array()
             .ok_or("'cache_per_pe' is not an array")?
             .iter()
-            .map(CacheCounts::from_json)
+            .map(cache_from_json)
             .collect::<Result<Vec<_>, _>>()?;
         let bus_per_bus = field(value, "bus_per_bus")?
             .as_array()
             .ok_or("'bus_per_bus' is not an array")?
             .iter()
-            .map(BusCounts::from_json)
+            .map(bus_from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(MetricsSnapshot {
             protocol: field(value, "protocol")?
@@ -888,8 +515,8 @@ impl MetricsSnapshot {
             runs: uint(value, "runs")?,
             cache_per_pe,
             bus_per_bus,
-            machine: MachineCounts::from_json(&field(value, "machine")?)?,
-            faults: FaultCounts::from_json(&field(value, "faults")?)?,
+            machine: machine_from_json(field(value, "machine")?, uint_or_zero)?,
+            faults: faults_from_json(field(value, "faults")?)?,
             histograms: match value.get("histograms") {
                 Some(h) => Some(HistogramSet::from_json(h)?),
                 None => None,
@@ -955,22 +582,24 @@ impl MetricsSnapshot {
         // Every unlocking write completes exactly one successful TS
         // (BWU cannot be rejected; a cancelled one is never granted).
         check(
-            bus.unlock_writes == m.ts_successes,
+            bus.count(BusOpKind::WriteWithUnlock) == m.ts_successes,
             format!(
                 "BWU {} != TS successes {}",
-                bus.unlock_writes, m.ts_successes
+                bus.count(BusOpKind::WriteWithUnlock),
+                m.ts_successes
             ),
         );
 
         // Locked reads: one accepted BRL resolves each TS attempt, one
         // rejected BRL per rejected locked read; a fail-stop can cancel
         // an attempt after its BRL was accepted but before resolution.
+        let locked_reads = bus.count(BusOpKind::ReadWithLock);
         check(
-            bus.locked_reads >= m.ts_attempts() + m.lock_rejected_reads
-                && bus.locked_reads <= m.ts_attempts() + m.lock_rejected_reads + f.pe_fail_stops,
+            locked_reads >= m.ts_attempts() + m.lock_rejected_reads
+                && locked_reads <= m.ts_attempts() + m.lock_rejected_reads + f.pe_fail_stops,
             format!(
                 "BRL {} outside [TS attempts {} + rejected reads {}, +fail-stops {}]",
-                bus.locked_reads,
+                locked_reads,
                 m.ts_attempts(),
                 m.lock_rejected_reads,
                 f.pe_fail_stops
@@ -1042,10 +671,12 @@ impl MetricsSnapshot {
         // Eviction write-backs and fail-stop drains are each charged
         // one bus write.
         check(
-            m.writebacks + f.drained_lines <= bus.writes,
+            m.writebacks + f.drained_lines <= bus.count(BusOpKind::Write),
             format!(
                 "writebacks {} + drained {} > bus writes {}",
-                m.writebacks, f.drained_lines, bus.writes
+                m.writebacks,
+                f.drained_lines,
+                bus.count(BusOpKind::Write)
             ),
         );
 
@@ -1123,10 +754,12 @@ impl MetricsSnapshot {
                 ),
             );
             check(
-                h.read_fill.count == bus.reads + m.broadcast_satisfied,
+                h.read_fill.count == bus.count(BusOpKind::Read) + m.broadcast_satisfied,
                 format!(
                     "read-fill samples {} != BR {} + broadcasts satisfied {}",
-                    h.read_fill.count, bus.reads, m.broadcast_satisfied
+                    h.read_fill.count,
+                    bus.count(BusOpKind::Read),
+                    m.broadcast_satisfied
                 ),
             );
             check(

@@ -11,6 +11,7 @@
 //! Runs under `decache_rng::testing::check`; a failure prints a
 //! replayable seed (`DECACHE_TEST_SEED=<seed>`).
 
+use decache_bus::BusOpKind;
 use decache_core::ProtocolKind;
 use decache_machine::{FaultPlan, Machine, MachineBuilder, Script};
 use decache_mem::{Addr, AddrRange, Word};
@@ -110,7 +111,7 @@ fn conservation_holds_fault_free_across_protocols() {
                 "fault-free: every non-writeback transaction is granted once"
             );
             assert_eq!(
-                bus.locked_reads,
+                bus.count(BusOpKind::ReadWithLock),
                 m.ts_attempts() + m.lock_rejected_reads,
                 "fault-free: BRL population is exact"
             );

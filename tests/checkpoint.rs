@@ -16,6 +16,10 @@
 //! [`CHECKPOINT_VERSION`]. Regenerate after an *intentional* format
 //! change (with a version bump) via
 //! `DECACHE_CHECKPOINT_PRINT=1 cargo test --test checkpoint`.
+//!
+//! The goldens also seed two adversarial suites (byte edits and field
+//! edits, 10k cases each): decoding and restoring a corrupted
+//! checkpoint returns an error and never panics.
 
 use decache::bus::ServiceDiscipline;
 use decache::cache::{AccessKind, RefClass};
@@ -25,6 +29,8 @@ use decache::machine::{
     RestoreError, Script, CHECKPOINT_VERSION,
 };
 use decache::mem::{Addr, AddrRange, Word};
+use decache::rng::testing::{check, mutate_bytes};
+use decache::rng::Rng;
 use decache::telemetry::{
     checkpoint_from_json, checkpoint_to_json, load_checkpoint, save_checkpoint, Json,
     MetricsSnapshot,
@@ -599,4 +605,127 @@ fn closure_processors_fail_checkpoint_with_a_structured_error() {
         err.to_string().contains("P1"),
         "Display names the PE: {err}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Adversarial input
+// ---------------------------------------------------------------------
+
+/// Cases per adversarial suite; `DECACHE_TEST_CASES` overrides it and
+/// `DECACHE_TEST_SEED` replays one case.
+const ADVERSARIAL_CASES: u32 = 10_000;
+
+/// The committed goldens with the protocol each one restores into.
+fn golden_texts() -> [(ProtocolKind, String); 2] {
+    [
+        (ProtocolKind::Rb, "checkpoint_rb_2pe.json"),
+        (ProtocolKind::Rwb, "checkpoint_rwb_2pe.json"),
+    ]
+    .map(|(kind, file)| {
+        let text = std::fs::read_to_string(golden_path(file)).expect("reading the golden");
+        (kind, text)
+    })
+}
+
+/// Decodes `json` and restores it into a fresh golden machine. Either
+/// step may reject the input; neither may panic.
+fn decode_and_restore(kind: ProtocolKind, json: &Json) {
+    if let Ok(ck) = checkpoint_from_json(json) {
+        let _ = golden_machine(kind).restore(&ck);
+    }
+}
+
+/// Random byte edits of a golden checkpoint file: the parser, the
+/// decoder and [`Machine::restore`] return errors, never panic.
+#[test]
+fn byte_mutated_checkpoints_never_panic() {
+    let goldens = golden_texts();
+    check("checkpoint_byte_mutations", ADVERSARIAL_CASES, |rng| {
+        let (kind, text) = rng.choose(&goldens);
+        let mut bytes = text.clone().into_bytes();
+        for _ in 0..rng.gen_range(1..=3u32) {
+            mutate_bytes(rng, &mut bytes);
+        }
+        if let Ok(json) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+            decode_and_restore(*kind, &json);
+        }
+    });
+}
+
+/// Nodes in `value`, itself included.
+fn node_count(value: &Json) -> usize {
+    1 + match value {
+        Json::Array(items) => items.iter().map(node_count).sum(),
+        Json::Object(fields) => fields.iter().map(|(_, v)| node_count(v)).sum(),
+        _ => 0,
+    }
+}
+
+/// The `n`th node of `value` in pre-order (0 is `value` itself).
+fn nth_node(value: &mut Json, mut n: usize) -> &mut Json {
+    if n == 0 {
+        return value;
+    }
+    n -= 1;
+    let children: Vec<&mut Json> = match value {
+        Json::Array(items) => items.iter_mut().collect(),
+        Json::Object(fields) => fields.iter_mut().map(|(_, v)| v).collect(),
+        _ => unreachable!("n is within the node count"),
+    };
+    for child in children {
+        let size = node_count(child);
+        if n < size {
+            return nth_node(child, n);
+        }
+        n -= size;
+    }
+    unreachable!("n is within the node count")
+}
+
+/// A value of a random JSON type, biased to the boundaries a decoder
+/// or restore must reject or survive.
+fn hostile_value(rng: &mut Rng) -> Json {
+    match rng.gen_range(0..10u32) {
+        0 => Json::U64(0),
+        1 => Json::U64(rng.gen_range(1..70u64)),
+        2 => Json::U64(u64::from(u32::MAX) + 1),
+        3 => Json::U64(u64::MAX),
+        4 => Json::U64(rng.next_u64()),
+        5 => Json::F64(-1.5),
+        6 => Json::Str((*rng.choose(&["", "L", "F0", "F255", "read", "random", "split"])).into()),
+        7 => Json::Null,
+        8 => Json::Bool(true),
+        _ => Json::Array(vec![]),
+    }
+}
+
+/// Random structural edits of a decoded golden: a value replaced, an
+/// object field dropped, or an array element dropped or duplicated.
+/// The decoder and [`Machine::restore`] return errors, never panic.
+#[test]
+fn field_mutated_checkpoints_never_panic() {
+    let goldens = golden_texts().map(|(kind, text)| (kind, Json::parse(&text).unwrap()));
+    check("checkpoint_field_mutations", ADVERSARIAL_CASES, |rng| {
+        let (kind, golden) = rng.choose(&goldens);
+        let mut json = golden.clone();
+        for _ in 0..rng.gen_range(1..=3u32) {
+            let n = rng.gen_range(0..node_count(&json));
+            let node = nth_node(&mut json, n);
+            match node {
+                Json::Object(fields) if !fields.is_empty() && rng.gen_bool(0.3) => {
+                    fields.remove(rng.gen_range(0..fields.len()));
+                }
+                Json::Array(items) if !items.is_empty() && rng.gen_bool(0.5) => {
+                    let i = rng.gen_range(0..items.len());
+                    if rng.gen_bool(0.5) {
+                        items.remove(i);
+                    } else {
+                        items.push(items[i].clone());
+                    }
+                }
+                _ => *node = hostile_value(rng),
+            }
+        }
+        decode_and_restore(*kind, &json);
+    });
 }
