@@ -144,16 +144,31 @@ impl Add for TrafficStats {
     }
 }
 
-impl AddAssign for TrafficStats {
-    fn add_assign(&mut self, rhs: TrafficStats) {
-        for i in 0..self.counts.len() {
-            self.counts[i] += rhs.counts[i];
+impl TrafficStats {
+    /// The field-wise sum, or `None` if any counter overflows `u64` —
+    /// for merging counters parsed from untrusted input.
+    pub fn checked_add(self, rhs: TrafficStats) -> Option<TrafficStats> {
+        let mut counts = self.counts;
+        for (count, more) in counts.iter_mut().zip(rhs.counts) {
+            *count = count.checked_add(more)?;
         }
-        self.aborted_reads += rhs.aborted_reads;
-        self.retries += rhs.retries;
-        self.busy_cycles += rhs.busy_cycles;
-        self.idle_cycles += rhs.idle_cycles;
-        self.address_phases += rhs.address_phases;
+        Some(TrafficStats {
+            counts,
+            aborted_reads: self.aborted_reads.checked_add(rhs.aborted_reads)?,
+            retries: self.retries.checked_add(rhs.retries)?,
+            busy_cycles: self.busy_cycles.checked_add(rhs.busy_cycles)?,
+            idle_cycles: self.idle_cycles.checked_add(rhs.idle_cycles)?,
+            address_phases: self.address_phases.checked_add(rhs.address_phases)?,
+        })
+    }
+}
+
+impl AddAssign for TrafficStats {
+    /// # Panics
+    ///
+    /// Panics if a counter overflows `u64`.
+    fn add_assign(&mut self, rhs: TrafficStats) {
+        *self = self.checked_add(rhs).expect("traffic counter overflow");
     }
 }
 

@@ -179,14 +179,25 @@ impl Add for CacheStats {
     }
 }
 
-impl AddAssign for CacheStats {
-    fn add_assign(&mut self, rhs: CacheStats) {
-        for k in 0..2 {
-            for c in 0..3 {
-                self.hits[k][c] += rhs.hits[k][c];
-                self.misses[k][c] += rhs.misses[k][c];
-            }
+impl CacheStats {
+    /// The cell-wise sum, or `None` if any counter overflows `u64` —
+    /// for merging counters parsed from untrusted input.
+    pub fn checked_add(mut self, rhs: CacheStats) -> Option<CacheStats> {
+        let cells = self.hits.iter_mut().chain(&mut self.misses).flatten();
+        let more = rhs.hits.iter().chain(&rhs.misses).flatten();
+        for (cell, &more) in cells.zip(more) {
+            *cell = cell.checked_add(more)?;
         }
+        Some(self)
+    }
+}
+
+impl AddAssign for CacheStats {
+    /// # Panics
+    ///
+    /// Panics if a counter overflows `u64`.
+    fn add_assign(&mut self, rhs: CacheStats) {
+        *self = self.checked_add(rhs).expect("cache counter overflow");
     }
 }
 

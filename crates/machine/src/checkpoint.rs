@@ -29,7 +29,6 @@
 
 use super::Machine;
 use crate::processor::ProcessorCheckpoint;
-use crate::sharers::{AddrPeIndex, PeMask};
 use crate::status::{PeStatus, Pending};
 use crate::telemetry::CycleHistograms;
 use crate::{FaultStats, MachineStats, OpResult};
@@ -705,41 +704,7 @@ impl Machine {
             state.ts_since.clone_from(&t.ts_since);
         }
 
-        // Rebuild the derived fast-path indexes from the restored
-        // architectural state, mirroring `Machine::from_parts`.
-        let mut sharers = AddrPeIndex::with_addr_capacity(n, self.memory.size());
-        let mut owners = AddrPeIndex::with_addr_capacity(n, self.memory.size());
-        for (pe, cache) in self.caches.iter().enumerate() {
-            for entry in cache.iter() {
-                sharers.add(entry.addr.index(), pe);
-                if self.protocol.supplies_on_snoop_read(entry.state) {
-                    owners.add(entry.addr.index(), pe);
-                }
-            }
-        }
-        self.sharers = sharers;
-        self.owners = owners;
-        let mut pending_readers = AddrPeIndex::with_addr_capacity(n, self.memory.size());
-        let mut idle = PeMask::new(n);
-        let mut idle_count = 0;
-        let mut done_count = 0;
-        for (pe, status) in self.statuses.iter().enumerate() {
-            match *status {
-                PeStatus::Idle => {
-                    idle.set(pe);
-                    idle_count += 1;
-                }
-                PeStatus::Done | PeStatus::Failed => done_count += 1,
-                PeStatus::WaitBus(Pending::Read { addr, .. }) => {
-                    pending_readers.add(addr.index(), pe);
-                }
-                PeStatus::WaitBus(_) => {}
-            }
-        }
-        self.pending_readers = pending_readers;
-        self.idle = idle;
-        self.idle_count = idle_count;
-        self.done_count = done_count;
+        self.rebuild_indexes();
         Ok(())
     }
 }

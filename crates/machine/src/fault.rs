@@ -475,25 +475,60 @@ impl FaultStats {
     }
 }
 
+impl FaultStats {
+    /// The field-wise sum, or `None` if any counter overflows `u64` —
+    /// for merging counters parsed from untrusted input.
+    pub fn checked_add(self, rhs: FaultStats) -> Option<FaultStats> {
+        Some(FaultStats {
+            memory_faults_injected: self
+                .memory_faults_injected
+                .checked_add(rhs.memory_faults_injected)?,
+            cache_faults_injected: self
+                .cache_faults_injected
+                .checked_add(rhs.cache_faults_injected)?,
+            bus_transactions_lost: self
+                .bus_transactions_lost
+                .checked_add(rhs.bus_transactions_lost)?,
+            pe_fail_stops: self.pe_fail_stops.checked_add(rhs.pe_fail_stops)?,
+            memory_faults_detected: self
+                .memory_faults_detected
+                .checked_add(rhs.memory_faults_detected)?,
+            cache_faults_detected: self
+                .cache_faults_detected
+                .checked_add(rhs.cache_faults_detected)?,
+            memory_recoveries_owner: self
+                .memory_recoveries_owner
+                .checked_add(rhs.memory_recoveries_owner)?,
+            memory_recoveries_majority: self
+                .memory_recoveries_majority
+                .checked_add(rhs.memory_recoveries_majority)?,
+            memory_recoveries_failed: self
+                .memory_recoveries_failed
+                .checked_add(rhs.memory_recoveries_failed)?,
+            cache_refetches: self.cache_refetches.checked_add(rhs.cache_refetches)?,
+            broadcast_heals: self.broadcast_heals.checked_add(rhs.broadcast_heals)?,
+            lost_writes: self.lost_writes.checked_add(rhs.lost_writes)?,
+            drained_lines: self.drained_lines.checked_add(rhs.drained_lines)?,
+            forced_unlocks: self.forced_unlocks.checked_add(rhs.forced_unlocks)?,
+            recovery_latency_total: self
+                .recovery_latency_total
+                .checked_add(rhs.recovery_latency_total)?,
+            recovery_latency_samples: self
+                .recovery_latency_samples
+                .checked_add(rhs.recovery_latency_samples)?,
+            replicas_at_recovery: self
+                .replicas_at_recovery
+                .checked_add(rhs.replicas_at_recovery)?,
+        })
+    }
+}
+
 impl AddAssign for FaultStats {
+    /// # Panics
+    ///
+    /// Panics if a counter overflows `u64`.
     fn add_assign(&mut self, rhs: FaultStats) {
-        self.memory_faults_injected += rhs.memory_faults_injected;
-        self.cache_faults_injected += rhs.cache_faults_injected;
-        self.bus_transactions_lost += rhs.bus_transactions_lost;
-        self.pe_fail_stops += rhs.pe_fail_stops;
-        self.memory_faults_detected += rhs.memory_faults_detected;
-        self.cache_faults_detected += rhs.cache_faults_detected;
-        self.memory_recoveries_owner += rhs.memory_recoveries_owner;
-        self.memory_recoveries_majority += rhs.memory_recoveries_majority;
-        self.memory_recoveries_failed += rhs.memory_recoveries_failed;
-        self.cache_refetches += rhs.cache_refetches;
-        self.broadcast_heals += rhs.broadcast_heals;
-        self.lost_writes += rhs.lost_writes;
-        self.drained_lines += rhs.drained_lines;
-        self.forced_unlocks += rhs.forced_unlocks;
-        self.recovery_latency_total += rhs.recovery_latency_total;
-        self.recovery_latency_samples += rhs.recovery_latency_samples;
-        self.replicas_at_recovery += rhs.replicas_at_recovery;
+        *self = self.checked_add(rhs).expect("fault counter overflow");
     }
 }
 

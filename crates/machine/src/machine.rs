@@ -2,7 +2,7 @@
 
 use crate::fault::{FaultEngine, FaultKind, FaultPlan, RecoverySource};
 use crate::outcome::StallSite;
-use crate::sharers::{AddrPeIndex, PeMask};
+use crate::sharers::{AddrPeIndex, Members, PeMask};
 use crate::status::{PeStatus, Pending};
 use crate::telemetry::TelemetryState;
 use crate::trace::{CpuDecision, Observation, Observer};
@@ -235,30 +235,13 @@ impl Machine {
             caches.iter().all(|c| c.geometry() == geometry),
             "the sharer index requires all caches to share one geometry"
         );
-        // Preallocate the per-address indexes for the whole memory
-        // range: one zeroed block at build time instead of repeated
-        // grow-and-copy while the run's footprint expands.
-        let mut sharers = AddrPeIndex::with_addr_capacity(n, memory.size());
-        let mut owners = AddrPeIndex::with_addr_capacity(n, memory.size());
-        for (pe, cache) in caches.iter().enumerate() {
-            for entry in cache.iter() {
-                sharers.add(entry.addr.index(), pe);
-                if protocol.supplies_on_snoop_read(entry.state) {
-                    owners.add(entry.addr.index(), pe);
-                }
-            }
-        }
-        let mut idle = PeMask::new(n);
-        for pe in 0..n {
-            idle.set(pe);
-        }
-        Machine {
+        let mut machine = Machine {
             protocol,
             routing,
             geometry,
-            sharers,
-            owners,
-            pending_readers: AddrPeIndex::with_addr_capacity(n, memory.size()),
+            sharers: AddrPeIndex::new(n),
+            owners: AddrPeIndex::new(n),
+            pending_readers: AddrPeIndex::new(n),
             memory,
             caches,
             statuses: vec![PeStatus::Idle; n],
@@ -277,8 +260,8 @@ impl Machine {
             bus_free_at: vec![0; buses],
             trace,
             observers: Vec::new(),
-            idle,
-            idle_count: n,
+            idle: PeMask::new(n),
+            idle_count: 0,
             done_count: 0,
             faults: fault_plan.map(|plan| FaultEngine::new(plan, buses)),
             recovery_policy,
@@ -290,6 +273,44 @@ impl Machine {
             last_addr: vec![None; n],
             telemetry: telemetry.then(|| Box::new(TelemetryState::new(n))),
             batch_snoop: routing.bus_count() == 1 && geometry.ways() == 1,
+        };
+        machine.rebuild_indexes();
+        machine
+    }
+
+    /// Rebuilds every derived fast-path index from the architectural
+    /// state: the sharer and supplier indexes from the tag stores, and
+    /// the pending-read index, the idle set and the idle/done counts
+    /// from the PE statuses. Construction and checkpoint restore both
+    /// end here.
+    fn rebuild_indexes(&mut self) {
+        let n = self.processors.len();
+        self.sharers = AddrPeIndex::new(n);
+        self.owners = AddrPeIndex::new(n);
+        for (pe, cache) in self.caches.iter().enumerate() {
+            for entry in cache.iter() {
+                self.sharers.add(entry.addr.index(), pe);
+                if self.protocol.supplies_on_snoop_read(entry.state) {
+                    self.owners.add(entry.addr.index(), pe);
+                }
+            }
+        }
+        self.pending_readers = AddrPeIndex::new(n);
+        self.idle = PeMask::new(n);
+        self.idle_count = 0;
+        self.done_count = 0;
+        for (pe, status) in self.statuses.iter().enumerate() {
+            match *status {
+                PeStatus::Idle => {
+                    self.idle.set(pe);
+                    self.idle_count += 1;
+                }
+                PeStatus::Done | PeStatus::Failed => self.done_count += 1,
+                PeStatus::WaitBus(Pending::Read { addr, .. }) => {
+                    self.pending_readers.add(addr.index(), pe);
+                }
+                PeStatus::WaitBus(_) => {}
+            }
         }
     }
 
@@ -1894,7 +1915,18 @@ impl Machine {
             stats,
             ..
         } = self;
-        for (w, &bits) in sharers.words(base).iter().enumerate() {
+        // A single holder is walked as a one-word row at its own word
+        // offset, so both forms share the masked popcount loop.
+        let single;
+        let (first_word, words) = match sharers.members(base) {
+            Members::Empty => return,
+            Members::One(pe) => {
+                single = [1u64 << (pe % 64)];
+                (pe / 64, &single[..])
+            }
+            Members::Row(words) => (0, words),
+        };
+        for (w, &bits) in (first_word..).zip(words) {
             let mut bits = bits;
             for skip_pe in [skip.initiator, skip.supplier].into_iter().flatten() {
                 if skip_pe / 64 == w {

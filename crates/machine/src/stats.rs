@@ -64,19 +64,38 @@ impl MachineStats {
     }
 }
 
+impl MachineStats {
+    /// The field-wise sum, or `None` if any counter overflows `u64` —
+    /// for merging counters parsed from untrusted input.
+    pub fn checked_add(self, rhs: MachineStats) -> Option<MachineStats> {
+        Some(MachineStats {
+            broadcast_satisfied: self
+                .broadcast_satisfied
+                .checked_add(rhs.broadcast_satisfied)?,
+            writebacks: self.writebacks.checked_add(rhs.writebacks)?,
+            ts_failures: self.ts_failures.checked_add(rhs.ts_failures)?,
+            ts_successes: self.ts_successes.checked_add(rhs.ts_successes)?,
+            lock_rejections: self.lock_rejections.checked_add(rhs.lock_rejections)?,
+            lock_rejected_reads: self
+                .lock_rejected_reads
+                .checked_add(rhs.lock_rejected_reads)?,
+            lock_rejected_writes: self
+                .lock_rejected_writes
+                .checked_add(rhs.lock_rejected_writes)?,
+            tag_probes: self.tag_probes.checked_add(rhs.tag_probes)?,
+            sharer_visits: self.sharer_visits.checked_add(rhs.sharer_visits)?,
+            queue_scans: self.queue_scans.checked_add(rhs.queue_scans)?,
+            split_cancels: self.split_cancels.checked_add(rhs.split_cancels)?,
+        })
+    }
+}
+
 impl AddAssign for MachineStats {
+    /// # Panics
+    ///
+    /// Panics if a counter overflows `u64`.
     fn add_assign(&mut self, rhs: MachineStats) {
-        self.broadcast_satisfied += rhs.broadcast_satisfied;
-        self.writebacks += rhs.writebacks;
-        self.ts_failures += rhs.ts_failures;
-        self.ts_successes += rhs.ts_successes;
-        self.lock_rejections += rhs.lock_rejections;
-        self.lock_rejected_reads += rhs.lock_rejected_reads;
-        self.lock_rejected_writes += rhs.lock_rejected_writes;
-        self.tag_probes += rhs.tag_probes;
-        self.sharer_visits += rhs.sharer_visits;
-        self.queue_scans += rhs.queue_scans;
-        self.split_cancels += rhs.split_cancels;
+        *self = self.checked_add(rhs).expect("machine counter overflow");
     }
 }
 

@@ -37,6 +37,10 @@ const GLOBAL_WORDS: u64 = 64;
 #[derive(Clone, Copy)]
 enum Shape {
     Single,
+    /// One bus and 65..=130 PEs: sharer rows span two or three mask
+    /// words, so spills, demotions and skipped PEs cross word
+    /// boundaries.
+    Wide,
     Interleaved(usize),
     Clustered(usize),
 }
@@ -46,7 +50,7 @@ enum Shape {
 /// global words plus the PE's own cluster slice).
 fn random_addr(rng: &mut Rng, shape: Shape, pe: usize, pes: usize) -> Addr {
     match shape {
-        Shape::Single | Shape::Interleaved(_) => {
+        Shape::Single | Shape::Wide | Shape::Interleaved(_) => {
             if rng.gen_bool(0.7) {
                 // Hot shared region: forces migration and invalidation.
                 Addr::new(rng.gen_range(0..GLOBAL_WORDS))
@@ -79,18 +83,27 @@ fn build_random(rng: &mut Rng) -> Machine {
 /// pins one machine under every engine path.
 fn build_random_config(rng: &mut Rng, fault_seed: Option<u64>) -> Machine {
     let kind = *rng.choose(&PROTOCOLS);
-    let shape = *rng.choose(&[
-        Shape::Single,
-        Shape::Interleaved(2),
-        Shape::Interleaved(4),
-        Shape::Clustered(2),
-    ]);
+    let shape = if rng.gen_bool(0.25) {
+        Shape::Wide
+    } else {
+        *rng.choose(&[
+            Shape::Single,
+            Shape::Interleaved(2),
+            Shape::Interleaved(4),
+            Shape::Clustered(2),
+        ])
+    };
     let pes = match shape {
         Shape::Clustered(clusters) => clusters * rng.gen_range(1usize..4),
+        Shape::Wide => rng.gen_range(65usize..=130),
         _ => rng.gen_range(1usize..9),
     };
-    // Tiny caches so conflict evictions churn the sharer index.
-    let cache_lines = *rng.choose(&[4usize, 8, 16]);
+    // Tiny caches so conflict evictions churn the sharer index; short
+    // scripts keep a wide machine as cheap as a narrow one.
+    let (cache_lines, ops) = match shape {
+        Shape::Wide => (4, 1u64..5),
+        _ => (*rng.choose(&[4usize, 8, 16]), 10..60),
+    };
     // Multi-cycle transactions create bus-held dead spans, the case
     // the wake schedule bulk-skips.
     let transaction_cycles = rng.gen_range(1u64..5);
@@ -106,7 +119,7 @@ fn build_random_config(rng: &mut Rng, fault_seed: Option<u64>) -> Machine {
         .transaction_cycles(transaction_cycles)
         .discipline(discipline);
     match shape {
-        Shape::Single => {}
+        Shape::Single | Shape::Wide => {}
         Shape::Interleaved(buses) => {
             builder.buses(buses);
         }
@@ -115,7 +128,7 @@ fn build_random_config(rng: &mut Rng, fault_seed: Option<u64>) -> Machine {
         }
     }
     for pe in 0..pes {
-        let ops = rng.gen_range(10u64..60);
+        let ops = rng.gen_range(ops.clone());
         let mut script = Script::new();
         for i in 0..ops {
             let addr = random_addr(rng, shape, pe, pes);
@@ -255,7 +268,7 @@ fn wake_schedule_matches_single_stepping() {
 }
 
 /// Two machines from the same seed, one on the default snoop dispatch
-/// (batched over the sharer bitset where the shape allows) and one
+/// (batched over the sharer index where the shape allows) and one
 /// forced onto the per-sharer scan path, must agree on everything
 /// observable — including the work-unit counters, which count logical
 /// work and so must be path-independent. A third of the corpus layers

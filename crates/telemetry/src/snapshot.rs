@@ -9,7 +9,7 @@
 //! module adds only their schema-1 JSON codec and the cross-counter
 //! audit. The serialized form contains **only raw integer counters**
 //! (never derived ratios), so a snapshot round-trips through JSON
-//! exactly and two snapshots merge with the counters' own `+=`.
+//! exactly and two snapshots merge with the counters' own `checked_add`.
 
 use crate::json::{field, uint, Json};
 use decache_bus::{BusOpKind, TrafficStats};
@@ -225,16 +225,19 @@ impl HistogramSnapshot {
         }
     }
 
-    fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
+    /// Adds `other`'s samples; `None` if a count overflows `u64`, with
+    /// `self` partly merged.
+    fn checked_merge(&mut self, other: &HistogramSnapshot) -> Option<()> {
+        self.count = self.count.checked_add(other.count)?;
         self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
         for &(floor, count) in &other.buckets {
             match self.buckets.binary_search_by_key(&floor, |&(f, _)| f) {
-                Ok(i) => self.buckets[i].1 += count,
+                Ok(i) => self.buckets[i].1 = self.buckets[i].1.checked_add(count)?,
                 Err(i) => self.buckets.insert(i, (floor, count)),
             }
         }
+        Some(())
     }
 
     fn to_json(&self) -> Json {
@@ -296,11 +299,12 @@ pub struct HistogramSet {
 }
 
 impl HistogramSet {
-    fn merge(&mut self, other: &HistogramSet) {
-        self.bus_acquire_wait.merge(&other.bus_acquire_wait);
-        self.memory_service.merge(&other.memory_service);
-        self.read_fill.merge(&other.read_fill);
-        self.ts_spin.merge(&other.ts_spin);
+    fn checked_merge(&mut self, other: &HistogramSet) -> Option<()> {
+        self.bus_acquire_wait
+            .checked_merge(&other.bus_acquire_wait)?;
+        self.memory_service.checked_merge(&other.memory_service)?;
+        self.read_fill.checked_merge(&other.read_fill)?;
+        self.ts_spin.checked_merge(&other.ts_spin)
     }
 
     fn to_json(&self) -> Json {
@@ -415,8 +419,9 @@ impl MetricsSnapshot {
     ///
     /// # Errors
     ///
-    /// Returns a message if the configurations differ, or if exactly
-    /// one of the two snapshots carries histograms.
+    /// Returns a message, leaving `self` unchanged, if the
+    /// configurations differ, if exactly one of the two snapshots
+    /// carries histograms, or if a summed counter overflows `u64`.
     pub fn merge(&mut self, other: &MetricsSnapshot) -> Result<(), String> {
         if self.protocol != other.protocol {
             return Err(format!(
@@ -430,22 +435,33 @@ impl MetricsSnapshot {
                 self.pes, self.buses, other.pes, other.buses
             ));
         }
-        match (&mut self.histograms, &other.histograms) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, None) => {}
-            _ => return Err("histogram presence mismatch".to_owned()),
+        if self.histograms.is_some() != other.histograms.is_some() {
+            return Err("histogram presence mismatch".to_owned());
         }
-        self.cycles += other.cycles;
-        self.runs += other.runs;
-        for (mine, &theirs) in self.cache_per_pe.iter_mut().zip(&other.cache_per_pe) {
-            *mine += theirs;
-        }
-        for (mine, &theirs) in self.bus_per_bus.iter_mut().zip(&other.bus_per_bus) {
-            *mine += theirs;
-        }
-        self.machine += other.machine;
-        self.faults += other.faults;
+        *self = self
+            .checked_sum(other)
+            .ok_or("a merged counter overflows u64")?;
         Ok(())
+    }
+
+    /// `self` with every counter of `other` added, or `None` if any
+    /// sum overflows `u64`.
+    fn checked_sum(&self, other: &MetricsSnapshot) -> Option<MetricsSnapshot> {
+        let mut sum = self.clone();
+        sum.cycles = sum.cycles.checked_add(other.cycles)?;
+        sum.runs = sum.runs.checked_add(other.runs)?;
+        for (mine, &theirs) in sum.cache_per_pe.iter_mut().zip(&other.cache_per_pe) {
+            *mine = mine.checked_add(theirs)?;
+        }
+        for (mine, &theirs) in sum.bus_per_bus.iter_mut().zip(&other.bus_per_bus) {
+            *mine = mine.checked_add(theirs)?;
+        }
+        sum.machine = sum.machine.checked_add(other.machine)?;
+        sum.faults = sum.faults.checked_add(other.faults)?;
+        if let (Some(mine), Some(theirs)) = (&mut sum.histograms, &other.histograms) {
+            mine.checked_merge(theirs)?;
+        }
+        Some(sum)
     }
 
     /// Serializes to the versioned JSON schema.
@@ -543,17 +559,19 @@ impl MetricsSnapshot {
     /// Returns the list of violated identities.
     pub fn check_conservation(&self) -> Result<(), Vec<String>> {
         let mut violations = Vec::new();
-        let mut check = |ok: bool, what: String| {
-            if !ok {
-                violations.push(what);
-            }
+        // Parsed counters can be hostile, so every sum is checked: an
+        // identity whose terms overflow `u64` is violated, never a
+        // panic.
+        let mut check = |ok: Option<bool>, what: String| match ok {
+            Some(true) => {}
+            Some(false) => violations.push(what),
+            None => violations.push(format!("{what}: overflows u64")),
         };
-        let bus = self.bus_total();
         let m = &self.machine;
         let f = &self.faults;
 
         check(
-            self.cache_per_pe.len() as u64 == self.pes,
+            Some(self.cache_per_pe.len() as u64 == self.pes),
             format!(
                 "per-PE cache vector length {} != pes {}",
                 self.cache_per_pe.len(),
@@ -561,18 +579,33 @@ impl MetricsSnapshot {
             ),
         );
         check(
-            self.bus_per_bus.len() as u64 == self.buses,
+            Some(self.bus_per_bus.len() as u64 == self.buses),
             format!(
                 "per-bus vector length {} != buses {}",
                 self.bus_per_bus.len(),
                 self.buses
             ),
         );
+        let bus = self
+            .bus_per_bus
+            .iter()
+            .try_fold(TrafficStats::default(), |a, &b| a.checked_add(b));
+        let cache = self
+            .cache_per_pe
+            .iter()
+            .try_fold(CacheStats::default(), |a, &b| a.checked_add(b));
+        let (Some(bus), Some(cache)) = (bus, cache) else {
+            check(None, "per-bus or per-PE counter totals".to_owned());
+            return Err(violations);
+        };
+        let transactions = checked_sum(bus.counts);
+        let ts_attempts = checked_sum([m.ts_failures, m.ts_successes]);
 
         // Rejection split: every rejection is exactly one locked read
         // or one plain write.
         check(
-            m.lock_rejected_reads + m.lock_rejected_writes == m.lock_rejections,
+            checked_sum([m.lock_rejected_reads, m.lock_rejected_writes])
+                .map(|split| split == m.lock_rejections),
             format!(
                 "lock rejections {} != rejected reads {} + rejected writes {}",
                 m.lock_rejections, m.lock_rejected_reads, m.lock_rejected_writes
@@ -582,7 +615,7 @@ impl MetricsSnapshot {
         // Every unlocking write completes exactly one successful TS
         // (BWU cannot be rejected; a cancelled one is never granted).
         check(
-            bus.count(BusOpKind::WriteWithUnlock) == m.ts_successes,
+            Some(bus.count(BusOpKind::WriteWithUnlock) == m.ts_successes),
             format!(
                 "BWU {} != TS successes {}",
                 bus.count(BusOpKind::WriteWithUnlock),
@@ -594,13 +627,16 @@ impl MetricsSnapshot {
         // rejected BRL per rejected locked read; a fail-stop can cancel
         // an attempt after its BRL was accepted but before resolution.
         let locked_reads = bus.count(BusOpKind::ReadWithLock);
+        let fewest = ts_attempts.and_then(|t| t.checked_add(m.lock_rejected_reads));
+        let most = fewest.and_then(|l| l.checked_add(f.pe_fail_stops));
         check(
-            locked_reads >= m.ts_attempts() + m.lock_rejected_reads
-                && locked_reads <= m.ts_attempts() + m.lock_rejected_reads + f.pe_fail_stops,
+            fewest
+                .zip(most)
+                .map(|(fewest, most)| (fewest..=most).contains(&locked_reads)),
             format!(
                 "BRL {} outside [TS attempts {} + rejected reads {}, +fail-stops {}]",
                 locked_reads,
-                m.ts_attempts(),
+                shown(ts_attempts),
                 m.lock_rejected_reads,
                 f.pe_fail_stops
             ),
@@ -608,12 +644,13 @@ impl MetricsSnapshot {
 
         // A broadcast can satisfy at most the n-1 other PEs per
         // transaction.
+        let satisfiable = transactions.map(|t| self.pes.saturating_sub(1).saturating_mul(t));
         check(
-            m.broadcast_satisfied <= self.pes.saturating_sub(1) * bus.total_transactions(),
+            satisfiable.map(|most| m.broadcast_satisfied <= most),
             format!(
                 "broadcasts satisfied {} > (pes-1) x transactions {}",
                 m.broadcast_satisfied,
-                self.pes.saturating_sub(1) * bus.total_transactions()
+                shown(satisfiable)
             ),
         );
 
@@ -623,31 +660,32 @@ impl MetricsSnapshot {
         // every issued CPU reference probes one, and every
         // broadcast-satisfied read was one pending-reader visit — on
         // both the scanned and the batched dispatch path.
-        if m.work_units() > 0 {
+        if [m.tag_probes, m.sharer_visits, m.queue_scans] != [0; 3] {
             check(
-                m.tag_probes >= m.sharer_visits,
+                Some(m.tag_probes >= m.sharer_visits),
                 format!(
                     "tag probes {} < sharer visits {}",
                     m.tag_probes, m.sharer_visits
                 ),
             );
             check(
-                m.sharer_visits >= m.broadcast_satisfied,
+                Some(m.sharer_visits >= m.broadcast_satisfied),
                 format!(
                     "sharer visits {} < broadcasts satisfied {}",
                     m.sharer_visits, m.broadcast_satisfied
                 ),
             );
+            let references = checked_sum(cache.hits.iter().chain(&cache.misses).flatten().copied());
             check(
-                m.tag_probes >= self.cache_total().total_references(),
+                references.map(|refs| m.tag_probes >= refs),
                 format!(
                     "tag probes {} < cache references {}",
                     m.tag_probes,
-                    self.cache_total().total_references()
+                    shown(references)
                 ),
             );
             check(
-                m.queue_scans <= self.cycles.saturating_mul(self.buses),
+                Some(m.queue_scans <= self.cycles.saturating_mul(self.buses)),
                 format!(
                     "queue scans {} > cycles {} x buses {}",
                     m.queue_scans, self.cycles, self.buses
@@ -660,7 +698,7 @@ impl MetricsSnapshot {
         // record one.
         for (i, b) in self.bus_per_bus.iter().enumerate() {
             check(
-                b.address_phases <= b.busy_cycles,
+                Some(b.address_phases <= b.busy_cycles),
                 format!(
                     "bus {i}: address phases {} > busy cycles {}",
                     b.address_phases, b.busy_cycles
@@ -671,7 +709,8 @@ impl MetricsSnapshot {
         // Eviction write-backs and fail-stop drains are each charged
         // one bus write.
         check(
-            m.writebacks + f.drained_lines <= bus.count(BusOpKind::Write),
+            checked_sum([m.writebacks, f.drained_lines])
+                .map(|charged| charged <= bus.count(BusOpKind::Write)),
             format!(
                 "writebacks {} + drained {} > bus writes {}",
                 m.writebacks,
@@ -682,11 +721,16 @@ impl MetricsSnapshot {
 
         // Every detected memory fault reaches the repair policy exactly
         // once.
+        let recovery_attempts = checked_sum([
+            f.memory_recoveries_owner,
+            f.memory_recoveries_majority,
+            f.memory_recoveries_failed,
+        ]);
         check(
-            f.memory_recovery_attempts() == f.memory_faults_detected,
+            recovery_attempts.map(|attempts| attempts == f.memory_faults_detected),
             format!(
                 "memory recovery attempts {} != detections {}",
-                f.memory_recovery_attempts(),
+                shown(recovery_attempts),
                 f.memory_faults_detected
             ),
         );
@@ -694,7 +738,7 @@ impl MetricsSnapshot {
         // Detecting a corrupted cache line and re-fetching it are the
         // same event.
         check(
-            f.cache_refetches == f.cache_faults_detected,
+            Some(f.cache_refetches == f.cache_faults_detected),
             format!(
                 "cache refetches {} != cache detections {}",
                 f.cache_refetches, f.cache_faults_detected
@@ -703,31 +747,37 @@ impl MetricsSnapshot {
 
         // Each detection or heal closes at most one latency ledger
         // entry.
+        let detections = checked_sum([f.memory_faults_detected, f.cache_faults_detected]);
         check(
-            f.recovery_latency_samples
-                <= f.memory_faults_detected + f.cache_faults_detected + f.broadcast_heals,
+            detections
+                .and_then(|d| d.checked_add(f.broadcast_heals))
+                .map(|closable| f.recovery_latency_samples <= closable),
             format!(
                 "latency samples {} > detections {} + heals {}",
                 f.recovery_latency_samples,
-                f.memory_faults_detected + f.cache_faults_detected,
+                shown(detections),
                 f.broadcast_heals
             ),
         );
 
         if let Some(h) = &self.histograms {
             // Histogram populations equal their driving counters —
-            // exact even under faults.
+            // exact even under faults. Each identity is stated as a
+            // sum on both sides, so no term can underflow.
             // Split cancels sampled a wait at their address grant but
             // never complete a transaction, so they join the
             // ledger on the sample side.
+            let samples = checked_sum([h.bus_acquire_wait.count, m.writebacks, f.drained_lines]);
+            let granted = transactions.and_then(|t| t.checked_add(m.split_cancels));
             check(
-                h.bus_acquire_wait.count
-                    == bus.total_transactions() - m.writebacks - f.drained_lines + m.split_cancels,
+                samples
+                    .zip(granted)
+                    .map(|(samples, granted)| samples == granted),
                 format!(
                     "acquire-wait samples {} != transactions {} - writebacks {} - drained {} \
                      + split cancels {}",
                     h.bus_acquire_wait.count,
-                    bus.total_transactions(),
+                    shown(transactions),
                     m.writebacks,
                     f.drained_lines,
                     m.split_cancels
@@ -736,25 +786,38 @@ impl MetricsSnapshot {
             // Under split every grant records exactly one address
             // phase; under other disciplines none do.
             check(
-                bus.address_phases <= h.bus_acquire_wait.count,
+                Some(bus.address_phases <= h.bus_acquire_wait.count),
                 format!(
                     "address phases {} > acquire-wait samples {}",
                     bus.address_phases, h.bus_acquire_wait.count
                 ),
             );
+            let reads = checked_sum([
+                bus.count(BusOpKind::Read),
+                bus.count(BusOpKind::ReadWithLock),
+            ]);
+            let writes = checked_sum([
+                bus.count(BusOpKind::Write),
+                bus.count(BusOpKind::WriteWithUnlock),
+            ]);
+            let served = checked_sum([h.memory_service.count, m.lock_rejections]);
             check(
-                h.memory_service.count
-                    == bus.total_reads() + bus.total_writes() - m.lock_rejections,
+                reads
+                    .zip(writes)
+                    .and_then(|(r, w)| r.checked_add(w))
+                    .zip(served)
+                    .map(|(touching, served)| touching == served),
                 format!(
                     "memory-service samples {} != reads {} + writes {} - rejections {}",
                     h.memory_service.count,
-                    bus.total_reads(),
-                    bus.total_writes(),
+                    shown(reads),
+                    shown(writes),
                     m.lock_rejections
                 ),
             );
             check(
-                h.read_fill.count == bus.count(BusOpKind::Read) + m.broadcast_satisfied,
+                checked_sum([bus.count(BusOpKind::Read), m.broadcast_satisfied])
+                    .map(|fills| fills == h.read_fill.count),
                 format!(
                     "read-fill samples {} != BR {} + broadcasts satisfied {}",
                     h.read_fill.count,
@@ -763,11 +826,11 @@ impl MetricsSnapshot {
                 ),
             );
             check(
-                h.ts_spin.count == m.ts_attempts(),
+                ts_attempts.map(|attempts| attempts == h.ts_spin.count),
                 format!(
                     "TS-spin samples {} != TS attempts {}",
                     h.ts_spin.count,
-                    m.ts_attempts()
+                    shown(ts_attempts)
                 ),
             );
             for (name, hist) in [
@@ -776,18 +839,21 @@ impl MetricsSnapshot {
                 ("read_fill", &h.read_fill),
                 ("ts_spin", &h.ts_spin),
             ] {
-                let bucket_total: u64 = hist.buckets.iter().map(|&(_, c)| c).sum();
+                let bucket_total = checked_sum(hist.buckets.iter().map(|&(_, c)| c));
                 check(
-                    bucket_total == hist.count,
+                    bucket_total.map(|total| total == hist.count),
                     format!(
-                        "{name}: bucket population {bucket_total} != count {}",
+                        "{name}: bucket population {} != count {}",
+                        shown(bucket_total),
                         hist.count
                     ),
                 );
                 if hist.count > 0 {
                     check(
-                        hist.max <= hist.sum
-                            && hist.sum <= hist.count.saturating_mul(hist.max.max(1)),
+                        Some(
+                            hist.max <= hist.sum
+                                && hist.sum <= hist.count.saturating_mul(hist.max.max(1)),
+                        ),
                         format!(
                             "{name}: moments inconsistent (count={} sum={} max={})",
                             hist.count, hist.sum, hist.max
@@ -803,6 +869,16 @@ impl MetricsSnapshot {
             Err(violations)
         }
     }
+}
+
+/// The sum of `terms`, or `None` if it overflows `u64`.
+fn checked_sum(terms: impl IntoIterator<Item = u64>) -> Option<u64> {
+    terms.into_iter().try_fold(0u64, u64::checked_add)
+}
+
+/// A checked sum as a violation message shows it.
+fn shown(total: Option<u64>) -> String {
+    total.map_or_else(|| "(overflow)".to_owned(), |t| t.to_string())
 }
 
 #[cfg(test)]
@@ -962,7 +1038,7 @@ mod tests {
             max: 8,
             buckets: vec![(4, 1), (8, 1)],
         };
-        a.merge(&b);
+        a.checked_merge(&b).unwrap();
         assert_eq!(a.count, 4);
         assert_eq!(a.sum, 15);
         assert_eq!(a.max, 8);

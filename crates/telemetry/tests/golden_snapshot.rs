@@ -11,8 +11,10 @@
 //! and commit the rewritten file.
 //!
 //! The same snapshot, truncated and byte-mutated, feeds the seeded
-//! never-panic suite of [`MetricsSnapshot::parse`]; a failing case
-//! prints the seed to replay via `DECACHE_TEST_SEED`.
+//! never-panic suite of [`MetricsSnapshot::parse`], and with counters
+//! set near `u64::MAX` the never-panic suite of
+//! [`MetricsSnapshot::check_conservation`] and [`MetricsSnapshot::merge`];
+//! a failing case prints the seed to replay via `DECACHE_TEST_SEED`.
 
 use decache_core::ProtocolKind;
 use decache_machine::{FaultPlan, MachineBuilder, Script};
@@ -107,5 +109,95 @@ fn truncated_and_mutated_snapshots_never_panic() {
             mutate_bytes(rng, &mut bytes);
         }
         survives(&String::from_utf8_lossy(&bytes));
+    });
+}
+
+/// The golden text with the `k`th integer literal replaced by `value`.
+fn with_integer(text: &str, k: usize, value: u64) -> String {
+    let mut out = String::with_capacity(text.len() + 20);
+    let mut seen = 0;
+    let mut rest = text;
+    while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+        let len = rest[start..]
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len() - start);
+        out.push_str(&rest[..start]);
+        if seen == k {
+            out.push_str(&value.to_string());
+        } else {
+            out.push_str(&rest[start..start + len]);
+        }
+        seen += 1;
+        rest = &rest[start + len..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The two overflows first seen on parsed snapshots: an underflowing
+/// acquire-wait identity and a self-merge past `u64::MAX`.
+#[test]
+fn overflowing_counters_are_reported_not_panicked() {
+    let golden = pinned_snapshot().to_json_string();
+    let text = golden.replacen("\"writebacks\":0", "\"writebacks\":100", 1);
+    assert_ne!(text, golden, "the golden records zero write-backs");
+    let snapshot = MetricsSnapshot::parse(&text).unwrap();
+    let violations = snapshot.check_conservation().unwrap_err();
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.starts_with("acquire-wait samples")),
+        "{violations:?}"
+    );
+
+    let retries = golden.find("\"retries\":").unwrap() + "\"retries\":".len();
+    let k = golden[..retries]
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|run| !run.is_empty())
+        .count();
+    let snapshot = MetricsSnapshot::parse(&with_integer(&golden, k, u64::MAX)).unwrap();
+    assert_eq!(snapshot.bus_per_bus[0].retries, u64::MAX);
+    let mut merged = snapshot.clone();
+    assert!(merged.merge(&snapshot).is_err());
+    assert_eq!(
+        merged, snapshot,
+        "a failed merge leaves the snapshot unchanged"
+    );
+}
+
+/// Random integer fields of the golden set near `u64::MAX`: auditing
+/// the parsed snapshot and merging it with itself report violations or
+/// an error — never an overflow panic — and a failed merge leaves the
+/// snapshot unchanged.
+#[test]
+fn hostile_counters_never_panic() {
+    let golden = pinned_snapshot().to_json_string();
+    let integers = golden
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|run| !run.is_empty())
+        .count();
+    check("snapshot_hostile_counters", 10_000, |rng| {
+        let mut text = golden.clone();
+        for _ in 0..rng.gen_range(1..=4u32) {
+            let value = if rng.gen_bool(0.8) {
+                u64::MAX - rng.gen_range(0..=1u64 << 20)
+            } else {
+                u64::MAX / 2 + rng.gen_range(0..=1u64 << 20)
+            };
+            text = with_integer(&text, rng.gen_range(0..integers), value);
+        }
+        // An edited schema version or PE count may be rejected.
+        let Ok(snapshot) = MetricsSnapshot::parse(&text) else {
+            return;
+        };
+        let _ = snapshot.check_conservation();
+        let mut merged = snapshot.clone();
+        match merged.merge(&snapshot) {
+            Ok(()) => {
+                assert_eq!(merged.runs, 2 * snapshot.runs);
+                let _ = merged.check_conservation();
+            }
+            Err(_) => assert_eq!(merged, snapshot, "a failed merge changed the snapshot"),
+        }
     });
 }
